@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .graph import Graph
 from .parallel import ParallelConfig, run_task_pool
-from .pivoting import _select_pivot, par_pivot
+from .pivoting import _select_pivot
 from .ranking import RankAssignment
 from .sinks import CliqueSink
 
@@ -103,27 +103,30 @@ def ttt(g: Graph, subproblem: Subproblem | None, sink: CliqueSink) -> None:
 def unrolled_children(
     g: Graph,
     K: tuple[int, ...],
-    cand: set[int] | frozenset[int],
-    fini: set[int] | frozenset[int],
+    cand: set[int],
+    fini: set[int],
 ) -> list[Child]:
     """Explicit per-iteration subproblems of one branching step.
 
     With the branch set ext = cand minus the pivot's neighborhood taken in
     ascending id order, iteration i (vertex q = ext[i]) gets
 
-        cand_i = (cand \\ ext[:i]) ∩ Γ(q)
-        fini_i = (fini ∪ ext[:i]) ∩ Γ(q)
+        cand_i = (cand ∩ Γ(q)) \\ ext[:i]
+        fini_i = (fini ∩ Γ(q)) ∪ (ext[:i] ∩ Γ(q))
 
     which depends only on the call's own cand/fini and the fixed ext order,
-    never on sibling iterations. Requires nonempty cand ∪ fini.
+    never on sibling iterations. Every set is built from the Γ(q) side, so
+    child i costs O(deg q), not O(|cand|). cand and fini must be `set`s
+    (the children's sets are then fresh `set`s too, which the sequential
+    kernel consumes in place). Requires nonempty cand ∪ fini.
     """
     adj = g.adj_sets
-    pivot = par_pivot(g, cand, fini)
+    pivot = _select_pivot(adj, cand, fini)
     children: list[Child] = []
     prefix: set[int] = set()
     for q in sorted(cand - adj[pivot]):
         nq = adj[q]
-        children.append((K + (q,), (cand - prefix) & nq, (fini | prefix) & nq))
+        children.append((K + (q,), (cand & nq) - prefix, (fini & nq) | (prefix & nq)))
         prefix.add(q)
     return children
 
@@ -134,10 +137,13 @@ def _make_task_handler(
     """Task processor shared by the serial path and the forked pool.
 
     Tasks are ("v", vertex) for per-vertex decomposition roots or
-    ("s", K, cand, fini) for spawned subproblems. Subproblems with
-    |cand| >= cutoff are unrolled; the children go back to the shared
-    queue when it is hungry, otherwise onto the local stack. Below the
-    cutoff the subproblem runs as plain sequential backtracking.
+    ("s", K, cand, fini) for spawned subproblems, whose cand and fini sets
+    the handler consumes. Subproblems with |cand| >= cutoff are unrolled,
+    at O(Σ deg q) over their branch vertices q; when the shared queue is
+    hungry the children go back to it as one batch through spawn (the
+    pool sends it as a few queue messages), otherwise onto the local
+    stack. Below the cutoff the subproblem runs as plain sequential
+    backtracking.
     """
     adj = g.adj_sets
 
@@ -149,14 +155,13 @@ def _make_task_handler(
             pending: list[Child] = [((v,), cand, fini)]
         else:
             _, K, cand, fini = task
-            pending = [(K, set(cand), set(fini))]
+            pending = [(K, cand, fini)]
         while pending:
             K, cand, fini = pending.pop()
             if len(cand) >= cutoff:
                 children = unrolled_children(g, K, cand, fini)
                 if hungry():
-                    for child in children:
-                        spawn(("s",) + child)
+                    spawn([("s",) + child for child in children])
                 else:
                     pending.extend(children)
             else:
@@ -169,7 +174,7 @@ def _never_hungry() -> bool:
     return False
 
 
-def _no_spawn(task) -> None:
+def _no_spawn(tasks) -> None:
     raise AssertionError("serial execution must not spawn tasks")
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import parmce as P
 
@@ -7,6 +7,7 @@ from util import (
     CollectSink,
     assert_all_maximal_cliques,
     canonical_run,
+    incremental_children,
     run_engine,
     walk_lockstep,
 )
@@ -81,9 +82,10 @@ class TestParTTT:
 
     def test_spawn_storm_with_unit_cutoff(self):
         g = P.gen_gnp(30, 0.4, 1)
-        assert canonical_run("parttt", g, threads=2, cutoff=1) == canonical_run(
-            "ttt", g
-        )
+        for engine in ("parttt", "parmce"):
+            assert canonical_run(engine, g, threads=2, cutoff=1) == canonical_run(
+                "ttt", g
+            )
 
     def test_listing_through_pool(self):
         g = P.gen_gnp(30, 0.4, 2)
@@ -109,6 +111,26 @@ class TestLoopUnrolling:
             assert cq <= g.adj_sets[q]
             assert fq <= g.adj_sets[q]
             assert not cq & fq
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.lists(st.sampled_from(["cand", "fini", "out"]), min_size=1, max_size=14),
+    )
+    @settings(max_examples=150)
+    def test_matches_incremental_on_arbitrary_subproblems(self, seed, p, roles):
+        # any disjoint (cand, fini), not only the root; K is carried through
+        g = P.gen_gnp(len(roles), p, seed)
+        cand = {v for v, r in enumerate(roles) if r == "cand"}
+        fini = {v for v, r in enumerate(roles) if r == "fini"}
+        assume(cand or fini)
+        args = (set(cand), set(fini))
+        K = (len(roles),)
+        unrolled = P.unrolled_children(g, K, cand, fini)
+        assert (cand, fini) == args, "arguments must not be mutated"
+        assert unrolled == incremental_children(g, K, cand, fini)
+        for _, cq, fq in unrolled:
+            assert type(cq) is set and type(fq) is set
 
 
 class TestSubproblemForVertex:
