@@ -12,7 +12,6 @@ from .engines import (
 from .graph import (
     EdgeListParseError,
     Graph,
-    intersect_with_neighbors,
     load_edge_list,
     read_edge_list,
     write_edge_list,
@@ -66,7 +65,6 @@ __all__ = [
     "gen_complete",
     "gen_gnp",
     "gen_moon_moser",
-    "intersect_with_neighbors",
     "load_edge_list",
     "par_mce",
     "par_pivot",

@@ -1,15 +1,18 @@
-"""The three enumeration engines.
+"""The three enumeration engines, all running one search kernel.
 
 ttt      - sequential pivoted backtracking with incremental cand/fini updates.
-par_ttt  - same search tree, but the loop over branch vertices is unrolled:
-           iteration i explicitly removes the first i-1 branch vertices from
-           cand and adds them to fini, so every iteration's subproblem is
-           independent of its siblings and may run as its own task.
+par_ttt  - the same search on a worker pool. A worker searches its task
+           with the same kernel; a node with |cand| >= cutoff that it meets
+           while the shared queue is hungry is donated instead: its branching
+           loop is unrolled, iteration i explicitly removing the first i-1
+           branch vertices from cand and adding them to fini, so every
+           iteration's subproblem is independent of its siblings and runs as
+           its own task. At one thread par_ttt is ttt.
 par_mce  - one subproblem per vertex v (clique seed {v}), with v's
            neighborhood split by a strict total vertex order so each
            maximal clique is produced exactly once, in the subproblem of
-           its lowest-ranked member; subproblems run on the shared pool
-           and still split further via the unrolled loop.
+           its lowest-ranked member; subproblems run through the kernel on
+           the shared pool and may be donated the same way.
 
 All engines emit the same set of cliques for the same graph; only order
 and scheduling differ.
@@ -61,7 +64,7 @@ def root_subproblem(g: Graph) -> Subproblem:
     return Subproblem(frozenset(), frozenset(range(g.n)), frozenset())
 
 
-# -- sequential engine --------------------------------------------------------
+# -- the search kernel --------------------------------------------------------
 
 
 def _ttt(
@@ -70,11 +73,20 @@ def _ttt(
     cand: set[int],
     fini: set[int],
     emit: Callable[[tuple[int, ...]], None],
+    split: Callable[[list[int], set[int], set[int]], bool] | None = None,
+    cutoff: int = 1,
 ) -> None:
-    """Pivoted backtracking; owns and consumes cand/fini."""
+    """Pivoted backtracking; owns and consumes cand/fini.
+
+    With a split hook, a node with |cand| >= cutoff asks it first; when the
+    hook returns True it has taken the node's subtree away and the node
+    returns without searching it.
+    """
     if not cand:
         if not fini:
             emit(tuple(sorted(K)))
+        return
+    if split is not None and len(cand) >= cutoff and split(K, cand, fini):
         return
     pivot = _select_pivot(adj, cand, fini)
     for q in sorted(cand - adj[pivot]):
@@ -84,7 +96,7 @@ def _ttt(
         cand.remove(q)
         fini.add(q)
         K.append(q)
-        _ttt(adj, K, cand_q, fini_q, emit)
+        _ttt(adj, K, cand_q, fini_q, emit, split, cutoff)
         K.pop()
 
 
@@ -134,48 +146,35 @@ def unrolled_children(
 def _make_task_handler(
     g: Graph, rank_values: Sequence[int] | None, cutoff: int
 ) -> Callable:
-    """Task processor shared by the serial path and the forked pool.
+    """Task processor for the forked pool.
 
-    Tasks are ("v", vertex) for per-vertex decomposition roots or
-    ("s", K, cand, fini) for spawned subproblems, whose cand and fini sets
-    the handler consumes. Subproblems with |cand| >= cutoff are unrolled,
-    at O(Σ deg q) over their branch vertices q; when the shared queue is
-    hungry the children go back to it as one batch through spawn (the
-    pool sends it as a few queue messages), otherwise onto the local
-    stack. Below the cutoff the subproblem runs as plain sequential
-    backtracking.
+    A task is a vertex id, the root of its per-vertex subproblem, or a
+    (K, cand, fini) triple whose cand and fini sets the handler consumes.
+    Either runs through the kernel; each node with |cand| >= cutoff checks
+    hungry() once, and only when the shared queue is hungry is it unrolled,
+    at O(Σ deg q) over its branch vertices q, and its children given to
+    spawn as one batch (the pool sends it as a few queue messages).
+    Otherwise the node is searched in place.
     """
     adj = g.adj_sets
 
     def handle(task, emit, spawn, hungry) -> None:
-        if task[0] == "v":
-            v = task[1]
+        def split(K: list[int], cand: set[int], fini: set[int]) -> bool:
+            if not hungry():
+                return False
+            spawn(unrolled_children(g, tuple(K), cand, fini))
+            return True
+
+        if isinstance(task, int):
             assert rank_values is not None
-            cand, fini = _split_neighbors(adj[v], rank_values, v)
-            pending: list[Child] = [((v,), cand, fini)]
+            cand, fini = _split_neighbors(adj[task], rank_values, task)
+            K = [task]
         else:
-            _, K, cand, fini = task
-            pending = [(K, cand, fini)]
-        while pending:
-            K, cand, fini = pending.pop()
-            if len(cand) >= cutoff:
-                children = unrolled_children(g, K, cand, fini)
-                if hungry():
-                    spawn([("s",) + child for child in children])
-                else:
-                    pending.extend(children)
-            else:
-                _ttt(adj, list(K), cand, fini, emit)
+            K, cand, fini = task
+            K = list(K)
+        _ttt(adj, K, cand, fini, emit, split, cutoff)
 
     return handle
-
-
-def _never_hungry() -> bool:
-    return False
-
-
-def _no_spawn(tasks) -> None:
-    raise AssertionError("serial execution must not spawn tasks")
 
 
 def _deliver(sink: CliqueSink, count, hist, cliques) -> None:
@@ -192,20 +191,18 @@ def par_ttt(
     sink: CliqueSink,
     config: ParallelConfig = ParallelConfig(),
 ) -> None:
-    """Unrolled-loop engine; emits exactly ttt's clique set on any budget."""
+    """ttt whose subtrees may run on a pool; emits exactly ttt's clique set."""
+    if config.threads == 1:
+        ttt(g, subproblem, sink)
+        return
     sp = subproblem if subproblem is not None else root_subproblem(g)
     sp.validate(g)
     if sp.is_empty():
         return
-    task = ("s", tuple(sorted(sp.K)), set(sp.cand), set(sp.fini))
+    task = (tuple(sorted(sp.K)), set(sp.cand), set(sp.fini))
     handler = _make_task_handler(g, None, config.cutoff)
-    if config.threads == 1:
-        handler(task, sink.emit, _no_spawn, _never_hungry)
-    else:
-        count, hist, cliques = run_task_pool(
-            [task], handler, config, sink.needs_cliques
-        )
-        _deliver(sink, count, hist, cliques)
+    count, hist, cliques = run_task_pool([task], handler, config, sink.needs_cliques)
+    _deliver(sink, count, hist, cliques)
 
 
 # -- per-vertex decomposition -------------------------------------------------
@@ -252,13 +249,12 @@ def par_mce(
         return
     values = rank.values
     order = sorted(range(g.n), key=lambda v: (values[v], v))
-    handler = _make_task_handler(g, values, config.cutoff)
     if config.threads == 1:
+        adj = g.adj_sets
         for v in order:
-            handler(("v", v), sink.emit, _no_spawn, _never_hungry)
+            cand, fini = _split_neighbors(adj[v], values, v)
+            _ttt(adj, [v], cand, fini, sink.emit)
     else:
-        tasks = [("v", v) for v in order]
-        count, hist, cliques = run_task_pool(
-            tasks, handler, config, sink.needs_cliques
-        )
+        handler = _make_task_handler(g, values, config.cutoff)
+        count, hist, cliques = run_task_pool(order, handler, config, sink.needs_cliques)
         _deliver(sink, count, hist, cliques)

@@ -27,7 +27,7 @@ class Graph:
     Immutable after construction and safe to share across worker processes.
     """
 
-    __slots__ = ("n", "m", "adj_sets", "adj_lists", "labels", "id_map")
+    __slots__ = ("n", "m", "adj_sets", "adj_lists", "labels")
 
     def __init__(self, adj: list[set[int]], labels: list[int] | None = None):
         n = len(adj)
@@ -42,7 +42,6 @@ class Graph:
         )
         if len(self.labels) != n:
             raise ValueError("labels must have one entry per vertex")
-        self.id_map: dict[int, int] = {lab: v for v, lab in enumerate(self.labels)}
 
     # -- construction ------------------------------------------------------
 
@@ -103,18 +102,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def intersect_with_neighbors(g: Graph, s: Iterable[int], v: int) -> set[int]:
-    """s ∩ Γ(v), probing the smaller side against the larger side's set.
-
-    CPython's set intersection already iterates the smaller operand, so this
-    runs in expected O(min(|s|, degree(v))).
-    """
-    g._check_vertex(v)
-    if not isinstance(s, (set, frozenset)):
-        s = set(s)
-    return set(s & g.adj_sets[v])
 
 
 # -- edge-list text format ---------------------------------------------------

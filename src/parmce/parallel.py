@@ -5,16 +5,17 @@ the graph (and ranking) are built, so every worker reads the same
 copy-on-write pages instead of receiving a serialized graph.
 
 Scheduling is dynamic: tasks live on one joinable queue, any idle worker
-takes the next message, and a worker that holds a big subproblem can
-donate its independently-computed child subproblems back to the queue when
-the queue is running dry. Every queue message is a batch: a contiguous run
-of tasks whose size depends only on the task count and the worker count,
-so the initial tasks keep their order and a donated set of children leaves
-as a few messages rather than one per child. Workers never share mutable
-algorithm state; each keeps a local (count, histogram, cliques)
-accumulator that the driver merges after the queue drains. The driver
-watches the workers while it waits, so a worker that dies mid-task ends
-the run with an error instead of a hang.
+takes the next message, and a worker searching a big subproblem can donate
+a node of it back to the queue, as independently-computed child
+subproblems, when the queue is running dry; the nodes it keeps it searches
+itself. Every queue message is a batch: a contiguous run of tasks whose
+size depends only on the task count and the worker count, so the initial
+tasks keep their order and a donated set of children leaves as a few
+messages rather than one per child. Workers never share mutable algorithm
+state; each keeps a local (count, histogram, cliques) accumulator that the
+driver merges after the queue drains. The driver watches the workers while
+it waits, so a worker that dies mid-task ends the run with an error
+instead of a hang.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from typing import Any, Callable
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Worker budget and the spawn cutoff for nested subproblem splitting.
+    """Worker budget and the cutoff that gates donating search nodes.
 
-    Subproblems whose cand is smaller than `cutoff` run as plain sequential
-    backtracking inside their worker; at or above it they may be unrolled
-    into independent child tasks.
+    A search node whose cand has at least `cutoff` vertices asks once, when
+    it is visited, whether the shared queue is hungry; only then is it
+    unrolled into independent child tasks. Every other node is searched in
+    place by the sequential kernel. At one thread nothing is donated.
     """
 
     threads: int = 1

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import parmce as P
+from parmce.engines import _make_task_handler
 
 from util import (
     CollectSink,
@@ -131,6 +132,58 @@ class TestLoopUnrolling:
         assert unrolled == incremental_children(g, K, cand, fini)
         for _, cq, fq in unrolled:
             assert type(cq) is set and type(fq) is set
+
+
+class TestSerialEnginesShareTheKernel:
+    """At one thread par_ttt and par_mce run the kernel ttt runs, so their
+    raw emission streams, order included, are ttt's."""
+
+    @pytest.mark.parametrize("cutoff", [1, 4, 16])
+    def test_par_ttt_stream_is_ttt_stream(self, cutoff):
+        for seed in range(3):
+            g = P.gen_gnp(40, 0.5, seed)
+            assert run_engine("parttt", g, cutoff=cutoff) == run_engine("ttt", g)
+
+    @pytest.mark.parametrize("cutoff", [1, 4, 16])
+    def test_par_mce_stream_is_per_vertex_ttt_streams(self, cutoff):
+        for seed in range(3):
+            g = P.gen_gnp(40, 0.5, seed)
+            rank = P.degree_rank(g)
+            expected = CollectSink()
+            for v in sorted(range(g.n), key=rank.key):
+                P.ttt(g, P.subproblem_for_vertex(g, rank, v), expected)
+            got = CollectSink()
+            P.par_mce(g, rank, got, P.ParallelConfig(threads=1, cutoff=cutoff))
+            assert got.cliques == expected.cliques
+
+
+class TestSplitPolicy:
+    """The pool handler donates a node only when the queue is hungry."""
+
+    G = P.gen_gnp(40, 0.5, 3)
+
+    def handle_root(self, cutoff, hungry):
+        spawned, emitted = [], []
+        handle = _make_task_handler(self.G, None, cutoff)
+        root = ((), set(range(self.G.n)), set())
+        handle(root, emitted.append, spawned.append, lambda: hungry)
+        return spawned, emitted
+
+    def test_not_hungry_searches_in_place(self):
+        spawned, emitted = self.handle_root(cutoff=4, hungry=False)
+        assert spawned == []
+        assert P.canonical_family(emitted) == canonical_run("ttt", self.G)
+
+    def test_hungry_donates_the_root_unrolled(self):
+        spawned, emitted = self.handle_root(cutoff=4, hungry=True)
+        root_children = P.unrolled_children(self.G, (), set(range(self.G.n)), set())
+        assert spawned == [root_children]
+        assert emitted == []
+
+    def test_cutoff_above_n_never_donates(self):
+        spawned, emitted = self.handle_root(cutoff=self.G.n + 1, hungry=True)
+        assert spawned == []
+        assert P.canonical_family(emitted) == canonical_run("ttt", self.G)
 
 
 class TestSubproblemForVertex:

@@ -27,7 +27,7 @@ class TestLoadEdgeList:
     def test_comment_and_first_appearance_remap(self):
         g = load_text("# header\n5 7\n")
         assert (g.n, g.m) == (2, 1)
-        assert g.id_map == {5: 0, 7: 1}
+        assert g.labels == (5, 7)
 
     def test_percent_comments_and_blank_lines(self):
         g = load_text("% konect header\n\n3 4\n")
@@ -64,12 +64,6 @@ class TestQueries:
         with pytest.raises(IndexError):
             K3.degree(-1)
 
-    def test_intersect_with_neighbors(self):
-        assert P.intersect_with_neighbors(K3, {0, 1, 2}, 0) == {1, 2}
-        assert P.intersect_with_neighbors(K3, set(), 1) == set()
-        c4 = P.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert P.intersect_with_neighbors(c4, {0, 2}, 1) == {0, 2}
-
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=120
@@ -90,17 +84,6 @@ def test_invariants_from_random_edges(pairs):
             assert v in g.adj_sets[w]
 
 
-@given(edge_lists, st.sets(st.integers(0, 30), max_size=20), st.integers(0, 30))
-def test_intersect_bounds(pairs, s, v):
-    g = load_text("".join(f"{a} {b}\n" for a, b in pairs))
-    if g.n == 0 or v >= g.n:
-        return
-    s = {x for x in s if x < g.n}
-    got = P.intersect_with_neighbors(g, s, v)
-    assert got <= s
-    assert len(got) <= min(len(s), g.degree(v))
-
-
 @given(edge_lists)
 def test_round_trip_recovers_graph_via_id_map(pairs):
     g = load_text("".join(f"{a} {b}\n" for a, b in pairs))
@@ -111,11 +94,10 @@ def test_round_trip_recovers_graph_via_id_map(pairs):
     P.write_edge_list(g, buf)
     g2 = load_text(buf.getvalue())
     assert (g2.n, g2.m) == (g.n, g.m)
-    # the reload's id_map maps serialized ids back onto its dense ids;
-    # through it the adjacency must be identical
-    mapped = {
-        tuple(sorted((g2.id_map[u], g2.id_map[v]))) for u, v in g.edges()
-    }
+    # the reload's labels map serialized ids back onto its dense ids;
+    # through them the adjacency must be identical
+    id_map = {lab: v for v, lab in enumerate(g2.labels)}
+    mapped = {tuple(sorted((id_map[u], id_map[v]))) for u, v in g.edges()}
     assert mapped == set(g2.edges())
 
 
