@@ -4,27 +4,31 @@ Shared-memory parallelism in CPython means processes: the pool forks after
 the graph (and ranking) are built, so every worker reads the same
 copy-on-write pages instead of receiving a serialized graph.
 
-Scheduling is dynamic: tasks live on one joinable queue, any idle worker
-takes the next message, and a worker searching a big subproblem can donate
-a node of it back to the queue, as independently-computed child
-subproblems, when the queue is running dry; the nodes it keeps it searches
-itself. Every queue message is a batch: a contiguous run of tasks whose
-size depends only on the task count and the worker count, so the initial
-tasks keep their order and a donated set of children leaves as a few
-messages rather than one per child. Workers never share mutable algorithm
-state; each keeps a local (count, histogram, cliques) accumulator that the
-driver merges after the queue drains. The driver watches the workers while
-it waits, so a worker that dies mid-task ends the run with an error
-instead of a hang.
+Scheduling is dynamic: tasks live on one queue, any idle worker takes the
+next message, and a worker searching a big subproblem can donate a node of
+it back to the queue, as independently-computed child subproblems, when
+the queue is running dry; the nodes it keeps it searches itself. Every
+queue message is a batch: a contiguous run of tasks whose size depends
+only on the task count and the worker count, so the initial tasks keep
+their order and a donated set of children leaves as a few messages rather
+than one per child. A shared counter holds the batches queued or running,
+so the worker that finishes the last one knows the work is done and tells
+every worker to stop.
+
+Workers never share mutable algorithm state; each keeps a local size
+histogram (and cliques, when listing) and sends it on its own pipe when it
+stops. The driver waits in its main thread on those pipes and on the
+workers' process sentinels, so the first task that raises, or a worker
+that dies, ends the run at once with an error instead of a hang.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import threading
 import traceback
 from collections import Counter
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable
 
 
@@ -48,32 +52,10 @@ class ParallelConfig:
             raise ValueError("cutoff must be >= 1")
 
 
-class LocalAccumulator:
-    """Per-worker emission buffer merged by the driver at the end."""
-
-    __slots__ = ("count", "hist", "cliques")
-
-    def __init__(self, collect_cliques: bool) -> None:
-        self.count = 0
-        self.hist: Counter[int] = Counter()
-        self.cliques: list[tuple[int, ...]] | None = [] if collect_cliques else None
-
-    def emit(self, clique: tuple[int, ...]) -> None:
-        self.count += 1
-        self.hist[len(clique)] += 1
-        if self.cliques is not None:
-            self.cliques.append(clique)
-
-    def snapshot(self) -> tuple[int, dict[int, int], list[tuple[int, ...]] | None]:
-        return self.count, dict(self.hist), self.cliques
-
-
 # The largest message carries 1 / (workers * _BATCHES_PER_WORKER) of a task
 # list: small enough for dynamic balancing at the tail, large enough that
 # per-message cost stays negligible.
 _BATCHES_PER_WORKER = 8
-# How often the driver checks for dead workers while it waits.
-_POLL_S = 0.05
 
 
 def _batches(tasks: list[Any], workers: int) -> list[list[Any]]:
@@ -98,18 +80,27 @@ def _batches(tasks: list[Any], workers: int) -> list[list[Any]]:
 
 
 def _worker(
+    conn: Any,
     work_q: Any,
-    result_q: Any,
+    pending: Any,
     handler: Callable[..., None],
     collect_cliques: bool,
     workers: int,
 ) -> None:
-    acc = LocalAccumulator(collect_cliques)
-    errors: list[str] = []
+    hist: Counter[int] = Counter()
+    cliques: list[tuple[int, ...]] | None = [] if collect_cliques else None
     hunger_mark = 2 * workers
 
+    def emit(clique: tuple[int, ...]) -> None:
+        hist[len(clique)] += 1
+        if cliques is not None:
+            cliques.append(clique)
+
     def spawn(tasks: list[Any]) -> None:
-        for batch in _batches(tasks, workers):
+        batches = _batches(tasks, workers)
+        with pending.get_lock():
+            pending.value += len(batches)
+        for batch in batches:
             work_q.put(batch)
 
     def hungry() -> bool:
@@ -121,42 +112,46 @@ def _worker(
     while True:
         batch = work_q.get()
         if batch is None:
-            result_q.put((acc.snapshot(), errors))
-            work_q.task_done()
+            conn.send((hist, cliques))
             return
         for task in batch:
             try:
-                handler(task, acc.emit, spawn, hungry)
+                handler(task, emit, spawn, hungry)
             except Exception:
-                errors.append(traceback.format_exc())
-        # Not in a `finally`: a batch cut short by the worker exiting stays
-        # unfinished, so the driver reports the dead worker.
-        work_q.task_done()
+                conn.send(traceback.format_exc())
+                return
+        with pending.get_lock():
+            pending.value -= 1
+            if pending.value == 0:
+                for _ in range(workers):
+                    work_q.put(None)
 
 
-def _watch(fn: Callable[[], Any], workers: list[Any], exits_ok: bool) -> Any:
-    """Return fn(), run on a helper thread while the driver watches workers.
+def _collect(
+    left: dict[Any, Any], hist: Counter[int], cliques: list[tuple[int, ...]] | None
+) -> None:
+    """Merge one report from each worker in `left` (pipe -> process).
 
-    fn blocks until the workers have done their part, so a worker that
-    exits first would block it forever; that raises instead. Exit code 0
-    is expected only once the workers have been told to stop (exits_ok).
+    A task traceback raises at once. A sentinel that fires while its pipe
+    holds no report means the worker died; a pipe is checked before its
+    sentinel, so a worker that reported and then exited is not flagged.
     """
-    out: list[Any] = []
-    t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
-    t.start()
-    while True:
-        t.join(_POLL_S)
-        if not t.is_alive():
-            break
-        for p in workers:
-            code = p.exitcode
-            if code is not None and (code != 0 or not exits_ok):
+    while left:
+        ready = wait([*left, *(p.sentinel for p in left.values())])
+        for conn, p in list(left.items()):
+            if conn in ready:
+                msg = conn.recv()
+                if isinstance(msg, str):
+                    raise RuntimeError("worker task failed:\n" + msg)
+                hist.update(msg[0])
+                if cliques is not None:
+                    cliques.extend(msg[1])
+                del left[conn]
+            elif p.sentinel in ready and not conn.poll():
+                p.join()
                 raise RuntimeError(
-                    f"worker pid {p.pid} exited with code {code} before the pool finished"
+                    f"worker pid {p.pid} exited with code {p.exitcode} before the pool finished"
                 )
-    if not out:
-        raise RuntimeError("pool driver thread failed; its traceback is on stderr")
-    return out[0]
 
 
 def run_task_pool(
@@ -165,30 +160,36 @@ def run_task_pool(
     config: ParallelConfig,
     collect_cliques: bool,
 ) -> tuple[int, Counter[int], list[tuple[int, ...]] | None]:
-    """Run tasks on `config.threads` forked workers; merge their accumulators.
+    """Run tasks on `config.threads` forked workers; merge their reports.
 
     `handler(task, emit, spawn, hungry)` may pass a list of follow-up tasks
     to spawn, and hungry() reports whether the shared queue wants more of
-    them; the pool drains until every task and descendant is done. A task
-    that raises, or a worker that dies, makes the pool raise RuntimeError.
+    them. A shared counter of queued or running batches tells the workers
+    when to stop and send their (histogram, cliques) on their own pipes;
+    this thread waits on the pipes and the workers' sentinels, and the
+    first task that raises, or a worker that dies, raises RuntimeError and
+    terminates the rest. Returns (count, histogram, cliques or None).
     """
+    hist: Counter[int] = Counter()
+    cliques: list[tuple[int, ...]] | None = [] if collect_cliques else None
+    batches = _batches(tasks, config.threads)
+    if not batches:
+        return 0, hist, cliques
     ctx = mp.get_context("fork")
-    work_q = ctx.JoinableQueue()
-    result_q = ctx.SimpleQueue()
-    args = (work_q, result_q, handler, collect_cliques, config.threads)
-    workers = [
-        ctx.Process(target=_worker, args=args, daemon=True)
-        for _ in range(config.threads)
-    ]
+    work_q = ctx.Queue()
+    pending = ctx.Value("i", len(batches))
+    # The driver keeps every sending end open as well, so a pipe turns ready
+    # only with a message, never with end-of-file.
+    pipes = [ctx.Pipe(duplex=False) for _ in range(config.threads)]
+    args = (work_q, pending, handler, collect_cliques, config.threads)
+    workers = [ctx.Process(target=_worker, args=(send, *args), daemon=True) for _, send in pipes]
     try:
+        # Fork every worker before the first put starts the queue's thread.
         for p in workers:
             p.start()
-        for batch in _batches(tasks, config.threads):
+        for batch in batches:
             work_q.put(batch)
-        _watch(work_q.join, workers, exits_ok=False)
-        for _ in workers:
-            work_q.put(None)
-        reports = _watch(lambda: [result_q.get() for _ in workers], workers, exits_ok=True)
+        _collect({recv: p for (recv, _), p in zip(pipes, workers)}, hist, cliques)
     except BaseException:
         work_q.cancel_join_thread()
         for p in workers:
@@ -199,19 +200,8 @@ def run_task_pool(
         for p in workers:
             if p.pid is not None:
                 p.join()
+        for recv, send in pipes:
+            recv.close()
+            send.close()
         work_q.close()
-
-    count = 0
-    hist: Counter[int] = Counter()
-    cliques: list[tuple[int, ...]] | None = [] if collect_cliques else None
-    failures: list[str] = []
-    for (c, h, cl), errs in reports:
-        count += c
-        hist.update(h)
-        if cliques is not None and cl is not None:
-            cliques.extend(cl)
-        failures.extend(errs)
-
-    if failures:
-        raise RuntimeError("worker task failed:\n" + "\n".join(failures))
-    return count, hist, cliques
+    return sum(hist.values()), hist, cliques

@@ -1,11 +1,11 @@
 """Clique consumers and the run report.
 
-Sinks receive cliques as ascending tuples of dense ids. Parallel engines
-never call emit() from workers; workers keep local accumulators and the
-driver either replays cliques into the sink (when one of the sinks needs
-them, e.g. a writer) or hands over pre-aggregated (count, histogram)
-partials through absorb(). Either way no emission is lost and sinks don't
-need locks.
+Sinks receive cliques as ascending tuples of dense ids, as the kernel
+emits them, and never re-sort them. Parallel engines never call emit()
+from workers; each worker keeps a local size histogram (and its cliques
+when listing) and the driver either replays cliques into the sink (when
+one of the sinks needs them, e.g. a writer) or hands over the merged
+(count, histogram) through absorb(). No emission is lost; no sink locks.
 """
 
 from __future__ import annotations
@@ -111,11 +111,10 @@ class WriterSink(CliqueSink):
                 self._deferred = exc
 
     def emit(self, clique: tuple[int, ...]) -> None:
-        ordered = tuple(sorted(clique))
         if self.canonical:
-            self._buffer.append(ordered)
+            self._buffer.append(clique)
         else:
-            self._write(ordered)
+            self._write(clique)
 
     def finalize(self) -> None:
         if self.canonical:

@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -230,3 +233,22 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == "0 1 2\n"
         assert "clique_count=1" in captured.err
+
+    def test_closed_output_pipe_is_a_clean_error(self):
+        src = os.path.dirname(os.path.dirname(P.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "parmce.cli", "run", "--gen", "moonmoser:9",
+             "--algo", "parmce", "--threads", "2", "--mode", "list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        try:
+            assert proc.stdout.readline().strip()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert "error: [Errno 32] Broken pipe" in err
+        assert "Traceback" not in err

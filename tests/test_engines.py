@@ -277,6 +277,19 @@ class TestEmittedCliquesAreMaximal:
         assert len(sink.cliques) == len(set(sink.cliques))
 
 
+class TestEmissionsAreAscending:
+    """Sinks rely on every emitted clique being an ascending tuple."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("engine", ["ttt", "parttt", "parmce"])
+    def test_raw_emissions_are_ascending_tuples(self, engine, threads):
+        for seed in range(3):
+            cliques = run_engine(engine, P.gen_gnp(40, 0.5, seed), threads=threads, cutoff=4)
+            assert cliques
+            for c in cliques:
+                assert type(c) is tuple and list(c) == sorted(set(c)), c
+
+
 class TestParallelConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

