@@ -332,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except (EdgeListParseError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

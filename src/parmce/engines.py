@@ -1,18 +1,26 @@
 """The three enumeration engines, all running one search kernel.
 
 ttt      - sequential pivoted backtracking with incremental cand/fini updates.
-par_ttt  - the same search on a worker pool. A worker searches its task
-           with the same kernel; a node with |cand| >= cutoff that it meets
-           while the shared queue is hungry is donated instead: its branching
-           loop is unrolled, iteration i explicitly removing the first i-1
-           branch vertices from cand and adding them to fini, so every
-           iteration's subproblem is independent of its siblings and runs as
-           its own task. At one thread par_ttt is ttt.
+par_ttt  - the same search on a worker pool. The driver picks the root's
+           pivot, and each of the root's branch vertices q is a vertex
+           task: a worker builds q's child from Γ(q) alone, iteration i of
+           the root's loop explicitly removing the first i-1 branch
+           vertices from cand and adding them to fini, so the root's
+           children are built in parallel and run independently. A worker
+           searches its task with the same kernel; a node with
+           |cand| >= cutoff that it meets while the shared queue is hungry
+           is donated instead, unrolled the same way into (K, cand, fini)
+           triples. At one thread par_ttt is ttt.
 par_mce  - one subproblem per vertex v (clique seed {v}), with v's
            neighborhood split by a strict total vertex order so each
            maximal clique is produced exactly once, in the subproblem of
            its lowest-ranked member; subproblems run through the kernel on
            the shared pool and may be donated the same way.
+
+A vertex task of either parallel engine is the same thing: child v of a
+base subproblem under a strict order (`_vertex_child`). For par_mce the
+base is the whole graph and the order is the ranking; for par_ttt it is
+the subproblem searched, ordered with its branch vertices first.
 
 All engines emit the same set of cliques for the same graph; only order
 and scheduling differ.
@@ -30,6 +38,9 @@ from .ranking import RankAssignment
 from .sinks import CliqueSink
 
 Child = tuple[tuple[int, ...], set[int], set[int]]
+# (K0, cand0, fini0) of a family of vertex tasks; cand0 None stands for every
+# vertex of the graph, and fini0 is a set.
+Base = tuple[tuple[int, ...], frozenset[int] | set[int] | None, set[int]]
 
 
 @dataclass(frozen=True)
@@ -143,18 +154,60 @@ def unrolled_children(
     return children
 
 
+def _vertex_child(
+    adj: tuple[frozenset[int], ...], base: Base, values: Sequence[int], v: int
+) -> Child:
+    """Child v of base = (K0, cand0, fini0) under the strict order (values[w], w).
+
+    K0 + (v,), cand = the members of cand0 ∩ Γ(v) after v, and fini =
+    (fini0 ∩ Γ(v)) plus the members of cand0 ∩ Γ(v) before v. Built from
+    the Γ(v) side, so it costs O(deg v); cand and fini are fresh sets.
+    """
+    K0, cand0, fini0 = base
+    nv = adj[v]
+    kv = (values[v], v)
+    cand: set[int] = set()
+    fini = fini0 & nv
+    for w in nv if cand0 is None else nv & cand0:
+        if (values[w], w) > kv:
+            cand.add(w)
+        else:
+            fini.add(w)
+    return K0 + (v,), cand, fini
+
+
+def _branch_tasks(
+    g: Graph, K: tuple[int, ...], cand: frozenset[int], fini: frozenset[int]
+) -> tuple[list[int], Base, list[int]]:
+    """The root of par_ttt as vertex tasks: (branch vertices, base, values).
+
+    With ext = cand minus the pivot's neighborhood in ascending id order,
+    the order that puts ext first (by id) and the rest of cand after it
+    makes branch vertex q's vertex child exactly unrolled_children's child
+    for q: (cand ∩ Γ(q)) minus the earlier ext, and fini ∩ Γ(q) plus them.
+    """
+    pivot = _select_pivot(g.adj_sets, cand, fini)
+    ext = sorted(cand - g.adj_sets[pivot])
+    values = [1] * g.n
+    for q in ext:
+        values[q] = 0
+    # cand None (every vertex) spares each task an intersection with cand.
+    return ext, (K, cand if len(cand) < g.n else None, set(fini)), values
+
+
 def _make_task_handler(
-    g: Graph, rank_values: Sequence[int] | None, cutoff: int
+    g: Graph, base: Base, values: Sequence[int], cutoff: int
 ) -> Callable:
     """Task processor for the forked pool.
 
-    A task is a vertex id, the root of its per-vertex subproblem, or a
-    (K, cand, fini) triple whose cand and fini sets the handler consumes.
-    Either runs through the kernel; each node with |cand| >= cutoff checks
-    hungry() once, and only when the shared queue is hungry is it unrolled,
-    at O(Σ deg q) over its branch vertices q, and its children given to
-    spawn as one batch (the pool sends it as a few queue messages).
-    Otherwise the node is searched in place.
+    A task is a vertex id v, standing for `_vertex_child(adj, base,
+    values, v)`, which the handler builds; or a (K, cand, fini) triple,
+    a node donated by an earlier task, whose cand and fini sets it
+    consumes. Either runs through the kernel; each node with
+    |cand| >= cutoff checks hungry() once, and only when the shared queue
+    is hungry is it unrolled, at O(Σ deg q) over its branch vertices q,
+    and its children given to spawn as one batch (the pool sends it as a
+    few queue messages). Otherwise the node is searched in place.
     """
     adj = g.adj_sets
 
@@ -166,13 +219,10 @@ def _make_task_handler(
             return True
 
         if isinstance(task, int):
-            assert rank_values is not None
-            cand, fini = _split_neighbors(adj[task], rank_values, task)
-            K = [task]
+            K, cand, fini = _vertex_child(adj, base, values, task)
         else:
             K, cand, fini = task
-            K = list(K)
-        _ttt(adj, K, cand, fini, emit, split, cutoff)
+        _ttt(adj, list(K), cand, fini, emit, split, cutoff)
 
     return handle
 
@@ -191,43 +241,32 @@ def par_ttt(
     sink: CliqueSink,
     config: ParallelConfig = ParallelConfig(),
 ) -> None:
-    """ttt whose subtrees may run on a pool; emits exactly ttt's clique set."""
-    if config.threads == 1:
-        ttt(g, subproblem, sink)
-        return
+    """ttt whose subtrees may run on a pool; emits exactly ttt's clique set.
+
+    On the pool the driver picks the subproblem's pivot once and queues its
+    branch vertices, ascending, as vertex tasks; the workers build each
+    child (`_branch_tasks`). A subproblem with empty cand is a leaf of the
+    kernel and runs in place.
+    """
     sp = subproblem if subproblem is not None else root_subproblem(g)
-    sp.validate(g)
-    if sp.is_empty():
+    if config.threads == 1 or not sp.cand:
+        ttt(g, sp, sink)
         return
-    task = (tuple(sorted(sp.K)), set(sp.cand), set(sp.fini))
-    handler = _make_task_handler(g, None, config.cutoff)
-    count, hist, cliques = run_task_pool([task], handler, config, sink.needs_cliques)
+    sp.validate(g)
+    tasks, base, values = _branch_tasks(g, tuple(sorted(sp.K)), sp.cand, sp.fini)
+    handler = _make_task_handler(g, base, values, config.cutoff)
+    count, hist, cliques = run_task_pool(tasks, handler, config, sink.needs_cliques)
     _deliver(sink, count, hist, cliques)
 
 
 # -- per-vertex decomposition -------------------------------------------------
 
 
-def _split_neighbors(
-    nbrs: frozenset[int], values: Sequence[int], v: int
-) -> tuple[set[int], set[int]]:
-    """Partition Γ(v) into higher-ranked (cand) and lower-ranked (fini)."""
-    kv = (values[v], v)
-    cand: set[int] = set()
-    fini: set[int] = set()
-    for w in nbrs:
-        if (values[w], w) > kv:
-            cand.add(w)
-        else:
-            fini.add(w)
-    return cand, fini
-
-
 def subproblem_for_vertex(g: Graph, rank: RankAssignment, v: int) -> Subproblem:
     """The vertex-v decomposition root: K={v}, neighborhood split by rank."""
     g._check_vertex(v)
-    cand, fini = _split_neighbors(g.adj_sets[v], rank.values, v)
-    return Subproblem(frozenset((v,)), frozenset(cand), frozenset(fini))
+    K, cand, fini = _vertex_child(g.adj_sets, ((), None, set()), rank.values, v)
+    return Subproblem(frozenset(K), frozenset(cand), frozenset(fini))
 
 
 def par_mce(
@@ -249,12 +288,13 @@ def par_mce(
         return
     values = rank.values
     order = sorted(range(g.n), key=lambda v: (values[v], v))
+    base: Base = ((), None, set())
     if config.threads == 1:
         adj = g.adj_sets
         for v in order:
-            cand, fini = _split_neighbors(adj[v], values, v)
-            _ttt(adj, [v], cand, fini, sink.emit)
+            K, cand, fini = _vertex_child(adj, base, values, v)
+            _ttt(adj, list(K), cand, fini, sink.emit)
     else:
-        handler = _make_task_handler(g, values, config.cutoff)
+        handler = _make_task_handler(g, base, values, config.cutoff)
         count, hist, cliques = run_task_pool(order, handler, config, sink.needs_cliques)
         _deliver(sink, count, hist, cliques)

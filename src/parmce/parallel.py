@@ -19,12 +19,14 @@ Workers never share mutable algorithm state; each keeps a local size
 histogram (and cliques, when listing) and sends it on its own pipe when it
 stops. The driver waits in its main thread on those pipes and on the
 workers' process sentinels, so the first task that raises, or a worker
-that dies, ends the run at once with an error instead of a hang.
+that dies, ends the run at once with an error instead of a hang. The
+workers ignore SIGINT; a KeyboardInterrupt in the driver terminates them.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import signal
 import traceback
 from collections import Counter
 from dataclasses import dataclass
@@ -87,6 +89,11 @@ def _worker(
     collect_cliques: bool,
     workers: int,
 ) -> None:
+    # The driver stops the workers on KeyboardInterrupt; a terminal's Ctrl-C
+    # reaches the whole process group, so the workers themselves ignore it.
+    # It was blocked across the fork, so none slipped in before this line.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     hist: Counter[int] = Counter()
     cliques: list[tuple[int, ...]] | None = [] if collect_cliques else None
     hunger_mark = 2 * workers
@@ -184,9 +191,14 @@ def run_task_pool(
     args = (work_q, pending, handler, collect_cliques, config.threads)
     workers = [ctx.Process(target=_worker, args=(send, *args), daemon=True) for _, send in pipes]
     try:
-        # Fork every worker before the first put starts the queue's thread.
-        for p in workers:
-            p.start()
+        # Fork every worker before the first put starts the queue's thread,
+        # with SIGINT held back meanwhile (it stays pending for this thread).
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for p in workers:
+                p.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         for batch in batches:
             work_q.put(batch)
         _collect({recv: p for (recv, _), p in zip(pipes, workers)}, hist, cliques)

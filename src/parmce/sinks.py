@@ -74,9 +74,10 @@ class WriterSink(CliqueSink):
 
     canonical=True buffers everything and writes in sorted order (stable
     golden files across thread budgets and engines). use_original_labels
-    translates dense ids back through the load-time label map. Stream
-    errors are deferred and raised at finalize so a long enumeration is
-    never killed mid-flight by the output side.
+    translates dense ids back through the load-time label map. The first
+    write error (a full disk, a reader that closed the pipe) raises from
+    the emit or finalize that hit it, so the enumeration stops at once
+    instead of running on into a dead stream.
     """
 
     needs_cliques = True
@@ -95,7 +96,6 @@ class WriterSink(CliqueSink):
         self.use_original_labels = use_original_labels
         self.canonical = canonical
         self._buffer: list[tuple[int, ...]] = []
-        self._deferred: Exception | None = None
 
     def _line(self, clique: tuple[int, ...]) -> str:
         if self.use_original_labels:
@@ -104,11 +104,7 @@ class WriterSink(CliqueSink):
         return " ".join(map(str, clique))
 
     def _write(self, clique: tuple[int, ...]) -> None:
-        try:
-            self.out.write(self._line(clique) + "\n")
-        except OSError as exc:
-            if self._deferred is None:
-                self._deferred = exc
+        self.out.write(self._line(clique) + "\n")
 
     def emit(self, clique: tuple[int, ...]) -> None:
         if self.canonical:
@@ -121,8 +117,6 @@ class WriterSink(CliqueSink):
             for clique in sorted(self._buffer):
                 self._write(clique)
             self._buffer.clear()
-        if self._deferred is not None:
-            raise self._deferred
 
 
 class CompositeSink(CliqueSink):

@@ -1,7 +1,9 @@
 import io
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -235,20 +237,59 @@ class TestMainEntry:
         assert "clique_count=1" in captured.err
 
     def test_closed_output_pipe_is_a_clean_error(self):
-        src = os.path.dirname(os.path.dirname(P.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "parmce.cli", "run", "--gen", "moonmoser:9",
-             "--algo", "parmce", "--threads", "2", "--mode", "list"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+        code, err = close_after_one_line(
+            ["--gen", "moonmoser:9", "--algo", "parmce", "--threads", "2"], timeout=60
         )
-        try:
-            assert proc.stdout.readline().strip()
-            proc.stdout.close()
-            _, err = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
-        assert proc.returncode == 1
+        assert code == 1
         assert "error: [Errno 32] Broken pipe" in err
         assert "Traceback" not in err
+
+    def test_closed_output_pipe_ends_the_enumeration_at_once(self):
+        # ttt on G(1200, 0.2) takes tens of seconds; the first failed write
+        # must end it, not the end of the enumeration
+        code, err = close_after_one_line(
+            ["--gen", "gnp:1200,0.2,42", "--algo", "ttt"], timeout=5
+        )
+        assert code == 1
+        assert "error: [Errno 32] Broken pipe" in err
+        assert "Traceback" not in err
+
+    def test_sigint_to_the_process_group_is_one_line(self):
+        # a terminal's Ctrl-C reaches the CLI and its pool workers alike
+        proc = start_cli(
+            ["--gen", "gnp:1200,0.2,42", "--algo", "parmce", "--threads", "2"],
+            start_new_session=True,
+        )
+        try:
+            time.sleep(0.5)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert err.splitlines() == ["error: interrupted"]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no worker is left in the group
+
+
+def start_cli(args, **popen_kw):
+    """`python -m parmce.cli run ARGS` on the package under test."""
+    src = os.path.dirname(os.path.dirname(P.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "parmce.cli", "run", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path), **popen_kw,
+    )
+
+
+def close_after_one_line(args, timeout):
+    """List ARGS to a pipe whose reader closes after one line: (exit code, stderr)."""
+    proc = start_cli([*args, "--mode", "list"])
+    try:
+        assert proc.stdout.readline().strip()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=timeout)
+    finally:
+        proc.kill()
+    return proc.returncode, err

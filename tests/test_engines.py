@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import parmce as P
-from parmce.engines import _make_task_handler
+from parmce.engines import _branch_tasks, _make_task_handler, _vertex_child
 
 from util import (
     CollectSink,
@@ -94,6 +94,18 @@ class TestParTTT:
         P.par_ttt(g, None, sink, P.ParallelConfig(threads=2, cutoff=4))
         assert P.canonical_family(sink.cliques) == canonical_run("ttt", g)
 
+    def test_empty_cand_on_the_pool_is_a_leaf(self):
+        # K is emitted when fini is empty too, and nothing otherwise
+        g = P.Graph.from_edges(3, [(0, 1)])
+        for sp, expected in [
+            (P.Subproblem(frozenset({2}), frozenset(), frozenset()), [(2,)]),
+            (P.Subproblem(frozenset({0, 1}), frozenset(), frozenset()), [(0, 1)]),
+            (P.Subproblem(frozenset({0}), frozenset(), frozenset({1})), []),
+        ]:
+            sink = CollectSink()
+            P.par_ttt(g, sp, sink, P.ParallelConfig(threads=2, cutoff=2))
+            assert sink.cliques == expected
+
 
 class TestLoopUnrolling:
     def test_lockstep_on_small_graphs(self):
@@ -134,6 +146,42 @@ class TestLoopUnrolling:
             assert type(cq) is set and type(fq) is set
 
 
+class TestVertexTasks:
+    """par_ttt's root children are vertex tasks: a worker builds branch
+    vertex q's child with _vertex_child, and it must be exactly
+    unrolled_children's child for q."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([0.3, 0.6, 0.9]),
+        st.lists(st.sampled_from(["K", "cand", "fini", "out"]), min_size=1, max_size=14),
+    )
+    @settings(max_examples=150)
+    def test_vertex_children_are_unrolled_children(self, seed, p, roles):
+        g = P.gen_gnp(len(roles), p, seed)
+        adj = g.adj_sets
+        K: list[int] = []
+        for v, r in enumerate(roles):
+            if r == "K" and all(v in adj[k] for k in K):
+                K.append(v)
+        common = set(range(g.n)).difference(K).intersection(*(adj[k] for k in K))
+        cand = {v for v in common if roles[v] == "cand"}
+        fini = {v for v in common if roles[v] == "fini"}
+        assume(cand)
+        ext, base, values = _branch_tasks(g, tuple(K), frozenset(cand), frozenset(fini))
+        built = [_vertex_child(adj, base, values, q) for q in ext]
+        assert built == P.unrolled_children(g, tuple(K), cand, fini)
+        for _, cq, fq in built:
+            assert type(cq) is set and type(fq) is set
+
+    def test_root_children_are_unrolled_children(self):
+        for seed in range(3):
+            g = P.gen_gnp(40, 0.5, seed)
+            ext, base, values = _branch_tasks(g, (), frozenset(range(g.n)), frozenset())
+            built = [_vertex_child(g.adj_sets, base, values, q) for q in ext]
+            assert built == P.unrolled_children(g, (), set(range(g.n)), set())
+
+
 class TestSerialEnginesShareTheKernel:
     """At one thread par_ttt and par_mce run the kernel ttt runs, so their
     raw emission streams, order included, are ttt's."""
@@ -164,7 +212,8 @@ class TestSplitPolicy:
 
     def handle_root(self, cutoff, hungry):
         spawned, emitted = [], []
-        handle = _make_task_handler(self.G, None, cutoff)
+        # the root as a donated triple; no vertex task reaches the handler
+        handle = _make_task_handler(self.G, ((), None, set()), range(self.G.n), cutoff)
         root = ((), set(range(self.G.n)), set())
         handle(root, emitted.append, spawned.append, lambda: hungry)
         return spawned, emitted
@@ -208,11 +257,11 @@ class TestSubproblemForVertex:
 
 
 class TestParMCE:
-    def per_vertex_emissions(self, g, rank):
+    def per_vertex_emissions(self, g, rank, config=P.ParallelConfig()):
         out = {}
         for v in range(g.n):
             sink = CollectSink()
-            P.par_ttt(g, P.subproblem_for_vertex(g, rank, v), sink)
+            P.par_ttt(g, P.subproblem_for_vertex(g, rank, v), sink, config)
             out[v] = P.canonical_family(sink.cliques)
         return out
 
@@ -253,6 +302,14 @@ class TestParMCE:
                     assert clique in per_v[v]
                 else:
                     assert clique not in per_v[v]
+
+    def test_par_ttt_pool_on_every_vertex_subproblem(self):
+        # non-root subproblems through the pool; at one thread par_ttt is ttt
+        pool = P.ParallelConfig(threads=2, cutoff=2)
+        for seed in range(3):
+            g = P.gen_gnp(16, 0.5, seed)
+            rank = P.degeneracy_rank(g)
+            assert self.per_vertex_emissions(g, rank, pool) == self.per_vertex_emissions(g, rank)
 
     def test_pool_matches_serial(self):
         for seed in (0, 1):

@@ -88,15 +88,20 @@ class TestWriterSink:
         with pytest.raises(ValueError):
             P.WriterSink(io.StringIO(), use_original_labels=True)
 
-    def test_write_error_deferred_to_finalize(self):
-        class Broken(io.StringIO):
+    def test_first_failing_write_raises_from_emit(self):
+        class FullAfterTwo(io.StringIO):
             def write(self, s):
-                raise OSError("disk full")
+                if self.tell() >= 8:
+                    raise OSError("disk full")
+                return super().write(s)
 
-        s = P.WriterSink(Broken())
-        s.emit((0, 1))  # must not raise mid-run
-        with pytest.raises(OSError):
-            s.finalize()
+        out = FullAfterTwo()
+        s = P.WriterSink(out)
+        s.emit((0, 1))
+        s.emit((2, 3))
+        with pytest.raises(OSError, match="disk full"):
+            s.emit((4, 5))  # the enumeration stops here, not at finalize
+        assert out.getvalue() == "0 1\n2 3\n"
 
     def test_canonical_output_invariant_across_engines_and_threads(self):
         g = P.gen_gnp(40, 0.3, 17)
