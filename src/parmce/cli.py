@@ -55,6 +55,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.cutoff < 1:
+            raise ValueError("cutoff must be >= 1")
         if self.order is not None and self.algo != "parmce":
             raise ValueError("--order applies only to parmce")
         if self.order is not None and self.order not in ORDERINGS:

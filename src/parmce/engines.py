@@ -227,12 +227,12 @@ def _make_task_handler(
     return handle
 
 
-def _deliver(sink: CliqueSink, count, hist, cliques) -> None:
+def _deliver(sink: CliqueSink, hist, cliques) -> None:
     if cliques is not None:
         for c in cliques:
             sink.emit(c)
     else:
-        sink.absorb(count, hist)
+        sink.absorb(hist)
 
 
 def par_ttt(
@@ -255,8 +255,8 @@ def par_ttt(
     sp.validate(g)
     tasks, base, values = _branch_tasks(g, tuple(sorted(sp.K)), sp.cand, sp.fini)
     handler = _make_task_handler(g, base, values, config.cutoff)
-    count, hist, cliques = run_task_pool(tasks, handler, config, sink.needs_cliques)
-    _deliver(sink, count, hist, cliques)
+    hist, cliques = run_task_pool(tasks, handler, config, sink.needs_cliques)
+    _deliver(sink, hist, cliques)
 
 
 # -- per-vertex decomposition -------------------------------------------------
@@ -296,5 +296,5 @@ def par_mce(
             _ttt(adj, list(K), cand, fini, sink.emit)
     else:
         handler = _make_task_handler(g, base, values, config.cutoff)
-        count, hist, cliques = run_task_pool(order, handler, config, sink.needs_cliques)
-        _deliver(sink, count, hist, cliques)
+        hist, cliques = run_task_pool(order, handler, config, sink.needs_cliques)
+        _deliver(sink, hist, cliques)

@@ -2,9 +2,9 @@
 
 Vertices are relabeled to 0..n-1 in first-appearance order at load time so
 that downstream algorithms can use array-indexed per-vertex tables. Each
-vertex keeps both an ascending neighbor tuple (deterministic iteration) and
-a frozenset (expected O(1) membership), which is what makes min-side set
-intersection cheap.
+vertex stores one thing: the frozenset of its neighbors, whose expected
+O(1) membership is what makes the kernel's `cand ∩ Γ(v)` cheap. Queries
+that promise an order (`neighbors`, `edges`) sort on the fly.
 """
 
 from __future__ import annotations
@@ -24,22 +24,18 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Undirected simple graph: no self-loops, no parallel edges.
 
-    Immutable after construction and safe to share across worker processes.
+    `adj_sets[v]` is the frozenset of v's neighbors, the only stored
+    adjacency. Immutable after construction and safe to share across
+    worker processes.
     """
 
-    __slots__ = ("n", "m", "adj_sets", "adj_lists", "labels")
+    __slots__ = ("n", "m", "adj_sets", "labels")
 
     def __init__(self, adj: list[set[int]], labels: list[int] | None = None):
-        n = len(adj)
-        self.n = n
-        self.adj_sets: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self.adj_lists: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in adj
-        )
-        self.m = sum(len(s) for s in adj) // 2
-        self.labels: tuple[int, ...] = (
-            tuple(labels) if labels is not None else tuple(range(n))
-        )
+        self.n = n = len(adj)
+        self.adj_sets: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        self.m = sum(map(len, self.adj_sets)) // 2
+        self.labels: tuple[int, ...] = tuple(range(n) if labels is None else labels)
         if len(self.labels) != n:
             raise ValueError("labels must have one entry per vertex")
 
@@ -60,6 +56,15 @@ class Graph:
             adj[v].add(u)
         return cls(adj, labels)
 
+    @property
+    def adj_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbor tuples, derived from adj_sets on every access.
+
+        Neither stored nor cached, and read by nothing in this package; it
+        is kept only for the benchmark's `perfbench/ops.py::_touch`.
+        """
+        return tuple(tuple(sorted(s)) for s in self.adj_sets)
+
     # -- queries -----------------------------------------------------------
 
     def _check_vertex(self, v: int) -> None:
@@ -69,11 +74,7 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Ascending neighbor ids of v."""
         self._check_vertex(v)
-        return self.adj_lists[v]
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return self.adj_sets[v]
+        return tuple(sorted(self.adj_sets[v]))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -86,19 +87,14 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending lexicographic."""
-        for u in range(self.n):
-            for v in self.adj_lists[u]:
-                if v > u:
-                    yield (u, v)
+        for u, nbrs in enumerate(self.adj_sets):
+            for v in sorted(w for w in nbrs if w > u):
+                yield (u, v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.labels == other.labels
-            and self.adj_lists == other.adj_lists
-        )
+        return (self.labels, self.adj_sets) == (other.labels, other.adj_sets)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -115,20 +111,11 @@ def load_edge_list(stream: IO[bytes] | IO[str] | Iterable[str | bytes]) -> Graph
     Lines starting with '#' or '%' are comments (SNAP and KONECT headers);
     blank lines are skipped. Labels are remapped to dense ids in
     first-appearance order. Self-loops are dropped; duplicate and reversed
-    edges merge. Empty input yields the empty graph.
+    edges merge. Empty input yields the empty graph. One pass: each line's
+    edge goes straight into the adjacency sets.
     """
-    id_map: dict[int, int] = {}
-    labels: list[int] = []
-    edges: list[tuple[int, int]] = []
-
-    def dense(label: int) -> int:
-        got = id_map.get(label)
-        if got is None:
-            got = len(labels)
-            id_map[label] = got
-            labels.append(label)
-        return got
-
+    ids: dict[int, int] = {}
+    adj: list[set[int]] = []
     for line_no, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             try:
@@ -149,9 +136,14 @@ def load_edge_list(stream: IO[bytes] | IO[str] | Iterable[str | bytes]) -> Graph
             raise EdgeListParseError(line_no, f"non-integer label in {line!r}") from exc
         if a < 0 or b < 0:
             raise EdgeListParseError(line_no, f"negative label in {line!r}")
-        edges.append((dense(a), dense(b)))
-
-    return Graph.from_edges(len(labels), edges, labels)
+        u = ids.setdefault(a, len(ids))
+        v = ids.setdefault(b, len(ids))
+        while len(adj) < len(ids):
+            adj.append(set())
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return Graph(adj, list(ids))
 
 
 def read_edge_list(path: str | Path) -> Graph:

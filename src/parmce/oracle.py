@@ -35,7 +35,7 @@ def brute_force_mce(g: Graph) -> CliqueFamily:
 
     masks = [0] * n
     for u in range(n):
-        for v in g.adj_lists[u]:
+        for v in g.adj_sets[u]:
             masks[u] |= 1 << v
 
     out: list[tuple[int, ...]] = []

@@ -166,7 +166,7 @@ def run_task_pool(
     handler: Callable[..., None],
     config: ParallelConfig,
     collect_cliques: bool,
-) -> tuple[int, Counter[int], list[tuple[int, ...]] | None]:
+) -> tuple[Counter[int], list[tuple[int, ...]] | None]:
     """Run tasks on `config.threads` forked workers; merge their reports.
 
     `handler(task, emit, spawn, hungry)` may pass a list of follow-up tasks
@@ -175,13 +175,13 @@ def run_task_pool(
     when to stop and send their (histogram, cliques) on their own pipes;
     this thread waits on the pipes and the workers' sentinels, and the
     first task that raises, or a worker that dies, raises RuntimeError and
-    terminates the rest. Returns (count, histogram, cliques or None).
+    terminates the rest. Returns (histogram, cliques or None).
     """
     hist: Counter[int] = Counter()
     cliques: list[tuple[int, ...]] | None = [] if collect_cliques else None
     batches = _batches(tasks, config.threads)
     if not batches:
-        return 0, hist, cliques
+        return hist, cliques
     ctx = mp.get_context("fork")
     work_q = ctx.Queue()
     pending = ctx.Value("i", len(batches))
@@ -216,4 +216,4 @@ def run_task_pool(
             recv.close()
             send.close()
         work_q.close()
-    return sum(hist.values()), hist, cliques
+    return hist, cliques

@@ -53,10 +53,12 @@ def triangle_counts(g: Graph) -> RankAssignment:
     """
     adj = g.adj_sets
     acc = [0] * g.n
-    for u, v in g.edges():
-        c = len(adj[u] & adj[v])
-        acc[u] += c
-        acc[v] += c
+    for u, nu in enumerate(adj):
+        for v in nu:
+            if v > u:
+                c = len(nu & adj[v])
+                acc[u] += c
+                acc[v] += c
     return RankAssignment(RankStrategy.TRIANGLE, tuple(x // 2 for x in acc))
 
 
@@ -90,16 +92,16 @@ def degeneracy_rank(g: Graph) -> RankAssignment:
         vert[pos[v]] = v
         next_slot[deg[v]] += 1
 
-    # peel in current-degree order; the deg[w] > deg[v] guard keeps the
-    # removal degrees non-decreasing, so deg[v] at removal is the core number
-    core = [0] * n
-    removed = [False] * n
+    # peel in current-degree order (Batagelj-Zaversnik); the deg[w] > deg[v]
+    # guard keeps the removal degrees non-decreasing, so it also skips every
+    # neighbor already peeled, and deg[v] is final, v's core number, once
+    # v is reached
+    adj = g.adj_sets
     for i in range(n):
         v = vert[i]
-        removed[v] = True
-        core[v] = deg[v]
-        for w in g.adj_lists[v]:
-            if removed[w] or deg[w] <= deg[v]:
+        dv = deg[v]
+        for w in adj[v]:
+            if deg[w] <= dv:
                 continue
             dw = deg[w]
             first = bin_start[dw]
@@ -110,7 +112,7 @@ def degeneracy_rank(g: Graph) -> RankAssignment:
             bin_start[dw] += 1
             deg[w] -= 1
 
-    return RankAssignment(RankStrategy.DEGENERACY, tuple(core))
+    return RankAssignment(RankStrategy.DEGENERACY, tuple(deg))
 
 
 _STRATEGIES = {

@@ -5,7 +5,7 @@ emits them, and never re-sort them. Parallel engines never call emit()
 from workers; each worker keeps a local size histogram (and its cliques
 when listing) and the driver either replays cliques into the sink (when
 one of the sinks needs them, e.g. a writer) or hands over the merged
-(count, histogram) through absorb(). No emission is lost; no sink locks.
+size histogram through absorb(). No emission is lost; no sink locks.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class CliqueSink:
     def emit(self, clique: tuple[int, ...]) -> None:
         raise NotImplementedError
 
-    def absorb(self, count: int, hist: Mapping[int, int]) -> None:
-        """Merge a pre-aggregated partial (count and size histogram)."""
+    def absorb(self, hist: Mapping[int, int]) -> None:
+        """Merge a pre-aggregated size histogram; its total is the count."""
         raise NotImplementedError
 
     def finalize(self) -> None:
@@ -39,8 +39,8 @@ class CountingSink(CliqueSink):
     def emit(self, clique: tuple[int, ...]) -> None:
         self.count += 1
 
-    def absorb(self, count: int, hist: Mapping[int, int]) -> None:
-        self.count += count
+    def absorb(self, hist: Mapping[int, int]) -> None:
+        self.count += sum(hist.values())
 
 
 class HistogramSink(CliqueSink):
@@ -54,8 +54,8 @@ class HistogramSink(CliqueSink):
         self.histogram[len(clique)] += 1
         self.count += 1
 
-    def absorb(self, count: int, hist: Mapping[int, int]) -> None:
-        self.count += count
+    def absorb(self, hist: Mapping[int, int]) -> None:
+        self.count += sum(hist.values())
         self.histogram.update(hist)
 
     @property
@@ -133,9 +133,9 @@ class CompositeSink(CliqueSink):
         for s in self.sinks:
             s.emit(clique)
 
-    def absorb(self, count: int, hist: Mapping[int, int]) -> None:
+    def absorb(self, hist: Mapping[int, int]) -> None:
         for s in self.sinks:
-            s.absorb(count, hist)
+            s.absorb(hist)
 
     def finalize(self) -> None:
         for s in self.sinks:

@@ -34,6 +34,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(gen="complete:4", threads=0)
 
+    def test_cutoff_positive(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            RunConfig(gen="complete:4", algo="ttt", cutoff=0)
+        assert RunConfig(gen="complete:4", cutoff=1).cutoff == 1
+
     def test_bad_algo_and_mode(self):
         with pytest.raises(ValueError):
             RunConfig(gen="complete:4", algo="bk")
@@ -197,6 +202,13 @@ class TestMainEntry:
             main(["run", "--gen", "complete:4", "--algo", "ttt",
                   "--order", "degree"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--cutoff", "--threads"])
+    def test_zero_cutoff_or_threads_is_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gen", "complete:4", "--algo", "ttt", flag, "0"])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_missing_source_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,12 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import parmce as P
 from parmce.graph import edge_list_lines
+
+from util import reference_load_edge_list
 
 K3 = P.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = P.Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -41,6 +43,13 @@ class TestLoadEdgeList:
         g = P.load_edge_list(io.BytesIO(b"0 1\n2 1\n"))
         assert (g.n, g.m) == (3, 2)
 
+    def test_self_loop_only_label_keeps_its_id(self):
+        g = load_text("7 7\n1 2\n")
+        assert (g.n, g.m) == (3, 1)
+        assert g.labels == (7, 1, 2)
+        assert g.neighbors(0) == ()
+        assert g.adj_sets == (frozenset(), frozenset({2}), frozenset({1}))
+
     @pytest.mark.parametrize(
         "text,line",
         [("0 x\n", 1), ("0 1\n1 2 3\n", 2), ("0 1\nfoo\n", 2), ("-1 2\n", 1)],
@@ -57,6 +66,18 @@ class TestQueries:
         assert PATH3.neighbors(1) == (0, 2)
         g = P.Graph.from_edges(3, [(0, 1)])
         assert g.neighbors(2) == ()
+
+    def test_edges_ascending_on_unsorted_construction(self):
+        g = P.Graph.from_edges(6, [(5, 0), (3, 1), (4, 0), (2, 5), (1, 0), (3, 2)])
+        assert list(g.edges()) == [(0, 1), (0, 4), (0, 5), (1, 3), (2, 3), (2, 5)]
+        g = load_text("9 3\n3 1\n1 9\n9 4\n")
+        assert list(g.edges()) == [(0, 1), (0, 2), (0, 3), (1, 2)]
+
+    def test_one_edge_apart_is_unequal(self):
+        edges = [(0, 1), (1, 2), (2, 3)]
+        assert P.Graph.from_edges(4, edges) == P.Graph.from_edges(4, list(reversed(edges)))
+        assert P.Graph.from_edges(4, edges) != P.Graph.from_edges(4, edges[:2] + [(1, 3)])
+        assert P.Graph.from_edges(4, edges) != P.Graph.from_edges(4, edges + [(0, 3)])
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -77,10 +98,9 @@ def test_invariants_from_random_edges(pairs):
     assert sum(len(s) for s in g.adj_sets) == 2 * g.m
     for v in range(g.n):
         assert v not in g.adj_sets[v]
-        assert list(g.adj_lists[v]) == sorted(set(g.adj_lists[v]))
-        for w in g.adj_lists[v]:
-            # membership structure and sorted list agree both ways
-            assert w in g.adj_sets[v]
+        nbrs = g.neighbors(v)
+        assert list(nbrs) == sorted(set(nbrs)) == sorted(g.adj_sets[v])
+        for w in nbrs:
             assert v in g.adj_sets[w]
 
 
@@ -117,3 +137,59 @@ def test_canonical_writer_order():
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ValueError):
         P.Graph.from_edges(2, [(0, 2)])
+
+
+# -- differential fuzz of the loader against the reference -----------------
+
+_LABEL = st.one_of(st.integers(0, 20), st.integers(10**30, 10**30 + 2)).map(str)
+_TOKEN = st.one_of(
+    _LABEL, _LABEL, _LABEL.map("-".__add__), st.sampled_from(["-", "#", "%", "#7", "%x"])
+)
+_SPACE = st.sampled_from(["", " ", "\t", " \t"])
+_SEP = st.sampled_from([" ", "\t", "  ", "\t "])
+_BAD_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
+_RARELY = st.sampled_from([False] * 9 + [True])
+_SELDOM = st.sampled_from([False] * 24 + [True])
+_MOSTLY = st.sampled_from([True] * 5 + [False])
+
+
+@st.composite
+def edge_list_bytes(draw) -> bytes:
+    """Edge-list-like bytes: mostly two-label lines, plus blank, comment,
+    one- and three-token lines, negative and huge labels, CRLF endings,
+    invalid UTF-8 and, sometimes, a leading BOM."""
+    out = [b"\xef\xbb\xbf"] if draw(_RARELY) else []
+    for _ in range(draw(st.integers(0, 16))):
+        if draw(_MOSTLY):
+            tokens = [draw(_LABEL), draw(_LABEL)]
+        else:
+            tokens = draw(st.lists(_TOKEN, max_size=3))
+        line = (draw(_SPACE) + draw(_SEP).join(tokens) + draw(_SPACE)).encode()
+        if draw(_SELDOM):
+            i = draw(st.integers(0, len(line)))
+            line = line[:i] + draw(_BAD_UTF8) + line[i:]
+        out.append(line + draw(st.sampled_from([b"\n", b"\r\n", b"\n\n"])))
+    return b"".join(out)
+
+
+def load_outcome(load, stream):
+    try:
+        g = load(stream)
+    except P.EdgeListParseError as exc:
+        return ("error", exc.line_no, str(exc))
+    return ("graph", g.n, g.m, g.labels, g.adj_sets)
+
+
+@given(edge_list_bytes())
+@example(b"\xef\xbb\xbf0 1\n")
+def test_loader_matches_reference(data):
+    text = data.decode("utf-8", "replace")
+    for make in (
+        lambda: io.BytesIO(data),
+        lambda: io.StringIO(text),
+        lambda: data.splitlines(keepends=True),
+    ):
+        got = load_outcome(P.load_edge_list, make())
+        assert got == load_outcome(reference_load_edge_list, make())
+        if data.startswith(b"\xef\xbb\xbf"):
+            assert got[:2] == ("error", 1)

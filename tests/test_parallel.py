@@ -69,14 +69,14 @@ class TestBatches:
 class TestBatchedPool:
     def test_zero_tasks(self):
         with deadline(30):
-            count, hist, cliques = run_task_pool([], emit_task, ParallelConfig(2), True)
-        assert (count, hist, cliques) == (0, Counter(), [])
+            hist, cliques = run_task_pool([], emit_task, ParallelConfig(2), True)
+        assert (hist, cliques) == (Counter(), [])
         assert mp.active_children() == []
 
     def test_more_workers_than_tasks(self):
         with deadline(30):
-            count, _, cliques = run_task_pool([0, 1], emit_task, ParallelConfig(3), True)
-            assert (count, sorted(cliques)) == (2, [(0,), (1,)])
+            hist, cliques = run_task_pool([0, 1], emit_task, ParallelConfig(3), True)
+            assert (hist, sorted(cliques)) == (Counter({1: 2}), [(0,), (1,)])
             # 3 vertices: 3 par_mce tasks and 1 par_ttt root, on 4 workers
             engines_agree_with_ttt(P.gen_gnp(3, 0.7, 1), threads=4, cutoff=1)
 
@@ -85,13 +85,13 @@ class TestBatchedPool:
         sizes = [len(b) for b in _batches(list(range(n)), 2)]
         assert sizes[-1] < max(sizes)
         with deadline(60):
-            _, _, cliques = run_task_pool(list(range(n)), emit_task, ParallelConfig(2), True)
+            _, cliques = run_task_pool(list(range(n)), emit_task, ParallelConfig(2), True)
             assert sorted(cliques) == [(t,) for t in range(n)]
             engines_agree_with_ttt(P.gen_gnp(n, 0.3, 4), threads=2, cutoff=4)
 
     def test_spawned_batch_runs_every_task(self):
         with deadline(30):
-            _, _, cliques = run_task_pool([("root", 50)], spawn_leaves, ParallelConfig(2), True)
+            _, cliques = run_task_pool([("root", 50)], spawn_leaves, ParallelConfig(2), True)
         assert sorted(cliques) == [(i,) for i in range(50)]
 
     def test_nested_spawns_on_more_workers_than_cores(self):
@@ -105,7 +105,7 @@ class TestBatchedPool:
                 emit((i,))
 
         with deadline(60):
-            _, _, cliques = run_task_pool([(0, 0)], handler, ParallelConfig(4), True)
+            _, cliques = run_task_pool([(0, 0)], handler, ParallelConfig(4), True)
         assert sorted(cliques) == [(i,) for i in range(8**4)]
         assert mp.active_children() == []
 

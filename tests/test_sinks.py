@@ -25,8 +25,10 @@ class TestCountingSink:
 
     def test_absorb(self):
         s = P.CountingSink()
-        s.absorb(5, {2: 3, 3: 2})
-        s.absorb(2, {2: 2})
+        s.absorb({2: 3, 3: 2})
+        s.absorb({2: 2})
+        assert s.count == 7
+        s.absorb({})
         assert s.count == 7
 
 
@@ -52,7 +54,8 @@ class TestHistogramSink:
 
     def test_fractional_average(self):
         s = P.HistogramSink()
-        s.absorb(2, {2: 1, 3: 1})
+        s.absorb({2: 1, 3: 1})
+        assert s.count == 2
         assert s.avg_size == 2.5
 
     def test_empty(self):

@@ -67,10 +67,53 @@ def peel_core_numbers(g: P.Graph) -> tuple[int, ...]:
         level = max(level, deg[v])
         core[v] = level
         remaining.remove(v)
-        for w in g.adj_lists[v]:
+        for w in g.adj_sets[v]:
             if w in remaining:
                 deg[w] -= 1
     return tuple(core[v] for v in range(g.n))
+
+
+def reference_load_edge_list(stream) -> P.Graph:
+    """The three-pass edge-list loader that preceded the one-pass one.
+
+    Kept verbatim (lines -> edge tuples -> Graph.from_edges) as the
+    reference for the loader's differential test.
+    """
+    id_map: dict[int, int] = {}
+    labels: list[int] = []
+    edges: list[tuple[int, int]] = []
+
+    def dense(label: int) -> int:
+        got = id_map.get(label)
+        if got is None:
+            got = len(labels)
+            id_map[label] = got
+            labels.append(label)
+        return got
+
+    for line_no, raw in enumerate(stream, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise P.EdgeListParseError(line_no, f"undecodable bytes: {exc}") from exc
+        line = raw.strip()
+        if not line or line.startswith(("#", "%")):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise P.EdgeListParseError(
+                line_no, f"expected two labels, got {len(parts)}: {line!r}"
+            )
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise P.EdgeListParseError(line_no, f"non-integer label in {line!r}") from exc
+        if a < 0 or b < 0:
+            raise P.EdgeListParseError(line_no, f"negative label in {line!r}")
+        edges.append((dense(a), dense(b)))
+
+    return P.Graph.from_edges(len(labels), edges, labels)
 
 
 def incremental_children(g, K, cand, fini):
