@@ -21,12 +21,7 @@ from .graph import EdgeListParseError, Graph, read_edge_list, write_edge_list
 from .oracle import gen_complete, gen_gnp, gen_moon_moser
 from .parallel import ParallelConfig
 from .ranking import compute_rank
-from .sinks import (
-    CompositeSink,
-    EnumerationReport,
-    HistogramSink,
-    WriterSink,
-)
+from .sinks import EnumerationReport, HistogramSink, WriterSink
 
 ALGOS = ("ttt", "parttt", "parmce")
 ORDERINGS = ("degree", "triangle", "degeneracy")
@@ -61,6 +56,8 @@ class RunConfig:
             raise ValueError("--order applies only to parmce")
         if self.order is not None and self.order not in ORDERINGS:
             raise ValueError(f"unknown ordering {self.order!r}")
+        if self.mode != "list" and (self.canonical or self.original_labels):
+            raise ValueError("--canonical and --original-labels apply only to --mode list")
         if (self.input is None) == (self.gen is None):
             raise ValueError("exactly one of --input / --gen is required")
 
@@ -102,20 +99,18 @@ def run_on_graph(
     g: Graph, cfg: RunConfig, clique_out: IO[str] | None = None
 ) -> EnumerationReport:
     """Rank (if needed), enumerate, and assemble the timing report."""
-    hist_sink = HistogramSink()
-    sinks: list = [hist_sink]
+    sink: HistogramSink
     if cfg.mode == "list":
         if clique_out is None:
             raise ValueError("list mode needs an output stream")
-        sinks.append(
-            WriterSink(
-                clique_out,
-                use_original_labels=cfg.original_labels,
-                canonical=cfg.canonical,
-                labels=g.labels,
-            )
+        sink = WriterSink(
+            clique_out,
+            use_original_labels=cfg.original_labels,
+            canonical=cfg.canonical,
+            labels=g.labels,
         )
-    sink = CompositeSink(sinks)
+    else:
+        sink = HistogramSink()
     pconf = ParallelConfig(threads=cfg.threads, cutoff=cfg.cutoff)
 
     t_total = time.perf_counter()
@@ -138,7 +133,7 @@ def run_on_graph(
     tt = time.perf_counter() - t_total
 
     sink.finalize()
-    return EnumerationReport.from_histogram(hist_sink, rt=rt, et=et, tt=tt)
+    return EnumerationReport.from_histogram(sink, rt=rt, et=et, tt=tt)
 
 
 def run(cfg: RunConfig) -> EnumerationReport:

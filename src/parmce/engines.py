@@ -227,14 +227,6 @@ def _make_task_handler(
     return handle
 
 
-def _deliver(sink: CliqueSink, hist, cliques) -> None:
-    if cliques is not None:
-        for c in cliques:
-            sink.emit(c)
-    else:
-        sink.absorb(hist)
-
-
 def par_ttt(
     g: Graph,
     subproblem: Subproblem | None,
@@ -255,8 +247,7 @@ def par_ttt(
     sp.validate(g)
     tasks, base, values = _branch_tasks(g, tuple(sorted(sp.K)), sp.cand, sp.fini)
     handler = _make_task_handler(g, base, values, config.cutoff)
-    hist, cliques = run_task_pool(tasks, handler, config, sink.needs_cliques)
-    _deliver(sink, hist, cliques)
+    run_task_pool(tasks, handler, config, sink)
 
 
 # -- per-vertex decomposition -------------------------------------------------
@@ -296,5 +287,4 @@ def par_mce(
             _ttt(adj, list(K), cand, fini, sink.emit)
     else:
         handler = _make_task_handler(g, base, values, config.cutoff)
-        hist, cliques = run_task_pool(order, handler, config, sink.needs_cliques)
-        _deliver(sink, hist, cliques)
+        run_task_pool(order, handler, config, sink)

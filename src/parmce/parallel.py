@@ -16,11 +16,16 @@ so the worker that finishes the last one knows the work is done and tells
 every worker to stop.
 
 Workers never share mutable algorithm state; each keeps a local size
-histogram (and cliques, when listing) and sends it on its own pipe when it
-stops. The driver waits in its main thread on those pipes and on the
-workers' process sentinels, so the first task that raises, or a worker
-that dies, ends the run at once with an error instead of a hang. The
-workers ignore SIGINT; a KeyboardInterrupt in the driver terminates them.
+histogram and sends it on its own pipe when it stops. When the sink needs
+the cliques (a listing), a worker also sends them on that pipe while it
+searches, in chunks of at most _CHUNK cliques encoded by the sink in the
+worker, and the driver hands each chunk to the sink as it arrives. A full
+pipe blocks its worker, so a listing holds O(_CHUNK * workers) cliques in
+flight, not the whole output. The driver waits in its main thread on
+those pipes and on the workers' process sentinels, so the first task that
+raises, or a worker that dies, ends the run at once with an error instead
+of a hang. The workers ignore SIGINT; a KeyboardInterrupt in the driver
+terminates them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,10 @@ import traceback
 from collections import Counter
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:
+    from .sinks import CliqueSink
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,11 @@ class ParallelConfig:
 # list: small enough for dynamic balancing at the tail, large enough that
 # per-message cost stays negligible.
 _BATCHES_PER_WORKER = 8
+
+# Cliques per streamed message: large enough that the per-message cost
+# (a pipe write, a wakeup of the driver) is negligible next to formatting
+# the chunk, small enough that a worker holds little of a huge listing.
+_CHUNK = 2048
 
 
 def _batches(tasks: list[Any], workers: int) -> list[list[Any]]:
@@ -86,7 +99,7 @@ def _worker(
     work_q: Any,
     pending: Any,
     handler: Callable[..., None],
-    collect_cliques: bool,
+    sink: CliqueSink | None,
     workers: int,
 ) -> None:
     # The driver stops the workers on KeyboardInterrupt; a terminal's Ctrl-C
@@ -95,13 +108,24 @@ def _worker(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     hist: Counter[int] = Counter()
-    cliques: list[tuple[int, ...]] | None = [] if collect_cliques else None
+    chunk: list[tuple[int, ...]] = []
     hunger_mark = 2 * workers
 
-    def emit(clique: tuple[int, ...]) -> None:
+    def count(clique: tuple[int, ...]) -> None:
         hist[len(clique)] += 1
-        if cliques is not None:
-            cliques.append(clique)
+
+    def send_chunk() -> None:
+        nonlocal chunk
+        hist.update(map(len, chunk))
+        conn.send(("cliques", sink.encode(chunk)))  # type: ignore[union-attr]
+        chunk = []
+
+    def stream(clique: tuple[int, ...]) -> None:
+        chunk.append(clique)
+        if len(chunk) == _CHUNK:
+            send_chunk()
+
+    emit = stream if sink is not None else count
 
     def spawn(tasks: list[Any]) -> None:
         batches = _batches(tasks, workers)
@@ -119,13 +143,15 @@ def _worker(
     while True:
         batch = work_q.get()
         if batch is None:
-            conn.send((hist, cliques))
+            if chunk:
+                send_chunk()
+            conn.send(("done", hist))
             return
         for task in batch:
             try:
                 handler(task, emit, spawn, hungry)
             except Exception:
-                conn.send(traceback.format_exc())
+                conn.send(("failed", traceback.format_exc()))
                 return
         with pending.get_lock():
             pending.value -= 1
@@ -134,26 +160,27 @@ def _worker(
                     work_q.put(None)
 
 
-def _collect(
-    left: dict[Any, Any], hist: Counter[int], cliques: list[tuple[int, ...]] | None
-) -> None:
-    """Merge one report from each worker in `left` (pipe -> process).
+def _collect(left: dict[Any, Any], hist: Counter[int], sink: CliqueSink | None) -> None:
+    """Read every worker's messages in `left` (pipe -> process) to its report.
 
-    A task traceback raises at once. A sentinel that fires while its pipe
-    holds no report means the worker died; a pipe is checked before its
-    sentinel, so a worker that reported and then exited is not flagged.
+    Clique chunks go to sink.take() as they arrive; each worker's final
+    report merges its histogram into `hist`. A task traceback raises at
+    once. A sentinel that fires while its pipe holds nothing means the
+    worker died; a pipe is checked before its sentinel, so a worker that
+    reported and then exited is not flagged.
     """
     while left:
         ready = wait([*left, *(p.sentinel for p in left.values())])
         for conn, p in list(left.items()):
             if conn in ready:
-                msg = conn.recv()
-                if isinstance(msg, str):
-                    raise RuntimeError("worker task failed:\n" + msg)
-                hist.update(msg[0])
-                if cliques is not None:
-                    cliques.extend(msg[1])
-                del left[conn]
+                tag, body = conn.recv()
+                if tag == "cliques":
+                    sink.take(body)  # type: ignore[union-attr]
+                elif tag == "done":
+                    hist.update(body)
+                    del left[conn]
+                else:
+                    raise RuntimeError("worker task failed:\n" + body)
             elif p.sentinel in ready and not conn.poll():
                 p.join()
                 raise RuntimeError(
@@ -165,30 +192,34 @@ def run_task_pool(
     tasks: list[Any],
     handler: Callable[..., None],
     config: ParallelConfig,
-    collect_cliques: bool,
-) -> tuple[Counter[int], list[tuple[int, ...]] | None]:
-    """Run tasks on `config.threads` forked workers; merge their reports.
+    sink: CliqueSink | None = None,
+) -> Counter[int]:
+    """Run tasks on `config.threads` forked workers; deliver their results.
 
     `handler(task, emit, spawn, hungry)` may pass a list of follow-up tasks
     to spawn, and hungry() reports whether the shared queue wants more of
     them. A shared counter of queued or running batches tells the workers
-    when to stop and send their (histogram, cliques) on their own pipes;
-    this thread waits on the pipes and the workers' sentinels, and the
-    first task that raises, or a worker that dies, raises RuntimeError and
-    terminates the rest. Returns (histogram, cliques or None).
+    when to stop and send their histograms on their own pipes. When
+    `sink.needs_cliques`, the workers stream their cliques to sink.take()
+    as they go (see CliqueSink.encode); otherwise the merged histogram goes
+    to sink.absorb() at the end. With no sink (None or False) the cliques
+    are only counted. This thread waits on the pipes and the workers'
+    sentinels, and the first task that raises, or a worker that dies,
+    raises RuntimeError and terminates the rest; so does an error raised
+    by the sink, such as a failed write. Returns the size histogram.
     """
     hist: Counter[int] = Counter()
-    cliques: list[tuple[int, ...]] | None = [] if collect_cliques else None
+    listing = sink if sink and sink.needs_cliques else None
     batches = _batches(tasks, config.threads)
     if not batches:
-        return hist, cliques
+        return hist
     ctx = mp.get_context("fork")
     work_q = ctx.Queue()
     pending = ctx.Value("i", len(batches))
     # The driver keeps every sending end open as well, so a pipe turns ready
     # only with a message, never with end-of-file.
     pipes = [ctx.Pipe(duplex=False) for _ in range(config.threads)]
-    args = (work_q, pending, handler, collect_cliques, config.threads)
+    args = (work_q, pending, handler, listing, config.threads)
     workers = [ctx.Process(target=_worker, args=(send, *args), daemon=True) for _, send in pipes]
     try:
         # Fork every worker before the first put starts the queue's thread,
@@ -201,7 +232,7 @@ def run_task_pool(
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         for batch in batches:
             work_q.put(batch)
-        _collect({recv: p for (recv, _), p in zip(pipes, workers)}, hist, cliques)
+        _collect({recv: p for (recv, _), p in zip(pipes, workers)}, hist, listing)
     except BaseException:
         work_q.cancel_join_thread()
         for p in workers:
@@ -216,4 +247,6 @@ def run_task_pool(
             recv.close()
             send.close()
         work_q.close()
-    return hist, cliques
+    if sink and listing is None:
+        sink.absorb(hist)
+    return hist

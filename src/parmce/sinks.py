@@ -1,11 +1,16 @@
 """Clique consumers and the run report.
 
 Sinks receive cliques as ascending tuples of dense ids, as the kernel
-emits them, and never re-sort them. Parallel engines never call emit()
-from workers; each worker keeps a local size histogram (and its cliques
-when listing) and the driver either replays cliques into the sink (when
-one of the sinks needs them, e.g. a writer) or hands over the merged
-size histogram through absorb(). No emission is lost; no sink locks.
+emits them, and never re-sort them. Sequential engines call emit() once
+per clique. On the worker pool a sink that needs the cliques
+(`needs_cliques`) has them streamed while the workers search: a worker
+passes every chunk of cliques it finds to the sink's encode(), in the
+worker, and sends the result on its pipe; the driver hands each payload
+to take() as it arrives. By default the payload is the tuples and take()
+emits them; WriterSink formats its lines in the worker instead, so the
+driver only writes them. Any other sink gets the workers' merged size
+histogram through absorb() when the pool ends. Every clique reaches a
+sink exactly once, by one of these routes; no sink locks.
 """
 
 from __future__ import annotations
@@ -13,11 +18,15 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence
+from typing import IO, Any, Callable, Mapping, Sequence
 
 
 class CliqueSink:
-    """Base consumer; subclasses override emit and optionally absorb."""
+    """Base consumer; subclasses override emit and optionally absorb.
+
+    A sink with needs_cliques set may also override encode() and take(),
+    as a pair, to choose what a pool worker sends for a chunk of cliques.
+    """
 
     needs_cliques = False
 
@@ -27,6 +36,15 @@ class CliqueSink:
     def absorb(self, hist: Mapping[int, int]) -> None:
         """Merge a pre-aggregated size histogram; its total is the count."""
         raise NotImplementedError
+
+    def encode(self, cliques: list[tuple[int, ...]]) -> Any:
+        """Worker side: the picklable payload that stands for `cliques`."""
+        return cliques
+
+    def take(self, payload: Any) -> None:
+        """Driver side: consume one payload made by encode()."""
+        for clique in payload:
+            self.emit(clique)
 
     def finalize(self) -> None:
         pass
@@ -69,15 +87,18 @@ class HistogramSink(CliqueSink):
         return sum(s * c for s, c in self.histogram.items()) / self.count
 
 
-class WriterSink(CliqueSink):
+class WriterSink(HistogramSink):
     """Writes one clique per line, ascending ids space-separated.
 
-    canonical=True buffers everything and writes in sorted order (stable
-    golden files across thread budgets and engines). use_original_labels
-    translates dense ids back through the load-time label map. The first
-    write error (a full disk, a reader that closed the pipe) raises from
-    the emit or finalize that hit it, so the enumeration stops at once
-    instead of running on into a dead stream.
+    It keeps the size histogram of what it writes. canonical=True buffers
+    everything and writes in sorted order (stable golden files across
+    thread budgets and engines). use_original_labels translates dense ids
+    back through the load-time label map. On the pool, a worker formats
+    each chunk's lines (encode) and the driver writes them as one block
+    (take); canonical chunks travel as tuples. The first write error (a
+    full disk, a reader that closed the pipe) raises from the emit, take
+    or finalize that hit it, so the enumeration stops at once instead of
+    running on into a dead stream.
     """
 
     needs_cliques = True
@@ -91,31 +112,43 @@ class WriterSink(CliqueSink):
     ) -> None:
         if use_original_labels and labels is None:
             raise ValueError("use_original_labels requires the graph's labels")
+        super().__init__()
         self.out = out
-        self.labels = labels
-        self.use_original_labels = use_original_labels
         self.canonical = canonical
         self._buffer: list[tuple[int, ...]] = []
+        # Each vertex's text, converted once: a table lookup costs half
+        # of str() on every id of every line.
+        self._name: Callable[[int], str] = str
+        if labels is not None:
+            names = labels if use_original_labels else range(len(labels))
+            self._name = [str(x) for x in names].__getitem__
 
     def _line(self, clique: tuple[int, ...]) -> str:
-        if self.use_original_labels:
-            assert self.labels is not None
-            return " ".join(str(self.labels[v]) for v in clique)
-        return " ".join(map(str, clique))
-
-    def _write(self, clique: tuple[int, ...]) -> None:
-        self.out.write(self._line(clique) + "\n")
+        return " ".join(map(self._name, clique)) + "\n"
 
     def emit(self, clique: tuple[int, ...]) -> None:
+        super().emit(clique)
         if self.canonical:
             self._buffer.append(clique)
         else:
-            self._write(clique)
+            self.out.write(self._line(clique))
+
+    def encode(self, cliques: list[tuple[int, ...]]) -> Any:
+        if self.canonical:
+            return cliques
+        return "".join(map(self._line, cliques)), Counter(map(len, cliques))
+
+    def take(self, payload: Any) -> None:
+        if self.canonical:
+            super().take(payload)
+            return
+        text, sizes = payload
+        self.out.write(text)
+        self.absorb(sizes)
 
     def finalize(self) -> None:
         if self.canonical:
-            for clique in sorted(self._buffer):
-                self._write(clique)
+            self.out.writelines(map(self._line, sorted(self._buffer)))
             self._buffer.clear()
 
 

@@ -45,6 +45,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(gen="complete:4", mode="plot")
 
+    @pytest.mark.parametrize("flag", ["canonical", "original_labels"])
+    @pytest.mark.parametrize("mode", ["count", "histogram"])
+    def test_list_only_flags_need_list_mode(self, flag, mode):
+        with pytest.raises(ValueError, match="--mode list"):
+            RunConfig(gen="complete:4", mode=mode, **{flag: True})
+        assert getattr(RunConfig(gen="complete:4", mode="list", **{flag: True}), flag)
+
 
 class TestGeneratorSpec:
     def test_forms(self):
@@ -127,6 +134,27 @@ class TestRun:
         ))
         assert out.read_text() == "10 20\n20 30\n"
 
+    @pytest.mark.parametrize("original_labels", [False, True])
+    def test_streamed_listing_matches_ttt_at_two_threads(self, tmp_path, original_labels):
+        # Moon-Moser k=8 (6,561 cliques, several chunks per worker) with
+        # labels that are not the dense ids, so workers format the labels
+        g = P.gen_moon_moser(8)
+        src = tmp_path / "g.txt"
+        src.write_text("".join(f"{7 * u + 1000} {7 * v + 1000}\n" for u, v in g.edges()))
+        listings = {}
+        for algo, threads in (("ttt", 1), ("parttt", 2), ("parmce", 2)):
+            out = tmp_path / f"{algo}.txt"
+            rep = run(RunConfig(
+                input=str(src), algo=algo, mode="list", output=str(out),
+                threads=threads, original_labels=original_labels,
+            ))
+            assert rep.size_histogram == {8: 3**8}
+            listings[algo] = sorted(out.read_text().splitlines())
+        assert len(listings["ttt"]) == 3**8
+        assert listings["parttt"] == listings["ttt"] == listings["parmce"]
+        ids = {int(x) for line in listings["ttt"] for x in line.split()}
+        assert ids == (set(range(1000, 1000 + 7 * 24, 7)) if original_labels else set(range(24)))
+
     def test_list_mode_requires_stream(self):
         g = P.gen_complete(3)
         with pytest.raises(ValueError):
@@ -202,6 +230,14 @@ class TestMainEntry:
             main(["run", "--gen", "complete:4", "--algo", "ttt",
                   "--order", "degree"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--canonical", "--original-labels"])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "count"], ["--mode", "histogram"]])
+    def test_list_only_flag_outside_list_mode_is_usage_error(self, flag, mode, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gen", "complete:4", "--algo", "ttt", *mode, flag])
+        assert exc.value.code == 2
+        assert "apply only to --mode list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--cutoff", "--threads"])
     def test_zero_cutoff_or_threads_is_usage_error(self, flag, capsys):

@@ -1,4 +1,5 @@
-"""The forked task pool: batched messages, spawned batches, failures and Ctrl-C.
+"""The forked task pool: batched messages, spawned batches, streamed
+listings, failures and Ctrl-C.
 
 Each test that could hang on a pool defect runs under a deadline, so a
 regression fails instead of stalling the suite.
@@ -15,9 +16,9 @@ from contextlib import contextmanager
 import pytest
 
 import parmce as P
-from parmce.parallel import _BATCHES_PER_WORKER, ParallelConfig, _batches, run_task_pool
+from parmce.parallel import _BATCHES_PER_WORKER, _CHUNK, ParallelConfig, _batches, run_task_pool
 
-from util import canonical_run
+from util import CollectSink, canonical_run
 
 
 @contextmanager
@@ -68,15 +69,17 @@ class TestBatches:
 
 class TestBatchedPool:
     def test_zero_tasks(self):
+        sink = CollectSink()
         with deadline(30):
-            hist, cliques = run_task_pool([], emit_task, ParallelConfig(2), True)
-        assert (hist, cliques) == (Counter(), [])
+            hist = run_task_pool([], emit_task, ParallelConfig(2), sink)
+        assert (hist, sink.cliques) == (Counter(), [])
         assert mp.active_children() == []
 
     def test_more_workers_than_tasks(self):
+        sink = CollectSink()
         with deadline(30):
-            hist, cliques = run_task_pool([0, 1], emit_task, ParallelConfig(3), True)
-            assert (hist, sorted(cliques)) == (Counter({1: 2}), [(0,), (1,)])
+            hist = run_task_pool([0, 1], emit_task, ParallelConfig(3), sink)
+            assert (hist, sorted(sink.cliques)) == (Counter({1: 2}), [(0,), (1,)])
             # 3 vertices: 3 par_mce tasks and 1 par_ttt root, on 4 workers
             engines_agree_with_ttt(P.gen_gnp(3, 0.7, 1), threads=4, cutoff=1)
 
@@ -84,15 +87,17 @@ class TestBatchedPool:
         n = 37
         sizes = [len(b) for b in _batches(list(range(n)), 2)]
         assert sizes[-1] < max(sizes)
+        sink = CollectSink()
         with deadline(60):
-            _, cliques = run_task_pool(list(range(n)), emit_task, ParallelConfig(2), True)
-            assert sorted(cliques) == [(t,) for t in range(n)]
+            run_task_pool(list(range(n)), emit_task, ParallelConfig(2), sink)
+            assert sorted(sink.cliques) == [(t,) for t in range(n)]
             engines_agree_with_ttt(P.gen_gnp(n, 0.3, 4), threads=2, cutoff=4)
 
     def test_spawned_batch_runs_every_task(self):
+        sink = CollectSink()
         with deadline(30):
-            _, cliques = run_task_pool([("root", 50)], spawn_leaves, ParallelConfig(2), True)
-        assert sorted(cliques) == [(i,) for i in range(50)]
+            run_task_pool([("root", 50)], spawn_leaves, ParallelConfig(2), sink)
+        assert sorted(sink.cliques) == [(i,) for i in range(50)]
 
     def test_nested_spawns_on_more_workers_than_cores(self):
         # Every spawn and every finished batch updates the shared batch
@@ -104,9 +109,95 @@ class TestBatchedPool:
             else:
                 emit((i,))
 
+        sink = CollectSink()
         with deadline(60):
-            _, cliques = run_task_pool([(0, 0)], handler, ParallelConfig(4), True)
-        assert sorted(cliques) == [(i,) for i in range(8**4)]
+            hist = run_task_pool([(0, 0)], handler, ParallelConfig(4), sink)
+        assert sorted(sink.cliques) == [(i,) for i in range(8**4)]
+        assert hist == Counter({1: 8**4})
+        assert mp.active_children() == []
+
+    def test_counting_sink_gets_the_merged_histogram_once(self):
+        sink = P.HistogramSink()
+        with deadline(30):
+            hist = run_task_pool(list(range(37)), emit_task, ParallelConfig(2), sink)
+        assert hist == sink.histogram == Counter({1: 37})
+        assert sink.count == 37
+        with deadline(30):
+            assert run_task_pool(list(range(5)), emit_task, ParallelConfig(2), False) == Counter({1: 5})
+
+
+class PayloadLog(P.CliqueSink):
+    """Records what each worker sends for a chunk, tagged with its pid."""
+
+    needs_cliques = True
+
+    def __init__(self):
+        self.payloads = []
+
+    def encode(self, cliques):
+        return os.getpid(), list(cliques)
+
+    def take(self, payload):
+        self.payloads.append(payload)
+
+
+class TestStreamedListing:
+    @pytest.mark.parametrize("engine", ["parmce", "parttt"])
+    def test_workers_send_bounded_chunks_while_they_search(self, engine):
+        # Moon-Moser k=9: 3^9 cliques, 3^8 in each of three top-level tasks
+        g = P.gen_moon_moser(9)
+        sink = PayloadLog()
+        cfg = ParallelConfig(threads=2)
+        with deadline(60):
+            if engine == "parmce":
+                P.par_mce(g, P.degree_rank(g), sink, cfg)
+            else:
+                P.par_ttt(g, None, sink, cfg)
+        assert mp.active_children() == []
+        # the largest message a worker sends holds at most one chunk
+        assert max(len(cliques) for _, cliques in sink.payloads) <= _CHUNK
+        per_worker = Counter(pid for pid, _ in sink.payloads)
+        assert len(per_worker) == 2
+        assert min(per_worker.values()) > 1
+        union = [c for _, cliques in sink.payloads for c in cliques]
+        assert len(union) == 3**9
+        assert P.canonical_family(union) == canonical_run("ttt", g)
+
+    def test_default_take_emits_every_clique_once(self):
+        # a HistogramSink that only overrides emit, as the benchmark's
+        # collector does, keeps a histogram that matches its cliques
+        class Keeps(P.HistogramSink):
+            needs_cliques = True
+
+            def __init__(self):
+                super().__init__()
+                self.cliques = []
+
+            def emit(self, clique):
+                super().emit(clique)
+                self.cliques.append(clique)
+
+        g = P.gen_moon_moser(8)
+        sink = Keeps()
+        with deadline(60):
+            P.par_mce(g, P.degree_rank(g), sink, ParallelConfig(threads=2))
+        assert (sink.count, dict(sink.histogram)) == (3**8, {8: 3**8})
+        assert P.canonical_family(sink.cliques) == canonical_run("ttt", g)
+        assert len(set(sink.cliques)) == 3**8
+
+    def test_sink_error_in_the_driver_stops_the_workers(self):
+        class Fails(CollectSink):
+            def take(self, payload):
+                raise OSError("disk full")
+
+        def handler(task, emit, spawn, hungry):
+            for i in range(_CHUNK):
+                emit((task, i))
+            time.sleep(0.05)
+
+        with deadline(4):
+            with pytest.raises(OSError, match="disk full"):
+                run_task_pool(list(range(400)), handler, ParallelConfig(2), Fails())
         assert mp.active_children() == []
 
 

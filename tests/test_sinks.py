@@ -87,6 +87,26 @@ class TestWriterSink:
         s.finalize()
         assert out.getvalue() == "5 7\n"
 
+    @pytest.mark.parametrize("original_labels", [False, True])
+    @pytest.mark.parametrize("canonical", [False, True])
+    def test_encoded_chunks_write_what_emit_writes(self, original_labels, canonical):
+        cliques = [(2, 3), (0, 1, 2), (1, 4)]
+        kw = dict(use_original_labels=original_labels, canonical=canonical, labels=(50, 7, 9, 11, 400))
+        by_emit, by_chunk = io.StringIO(), io.StringIO()
+        emitted = P.WriterSink(by_emit, **kw)
+        for c in cliques:
+            emitted.emit(c)
+        # encode runs in a pool worker, take in the driver
+        taken = P.WriterSink(by_chunk, **kw)
+        taken.take(P.WriterSink(io.StringIO(), **kw).encode(cliques[:2]))
+        taken.take(P.WriterSink(io.StringIO(), **kw).encode(cliques[2:]))
+        for s in (emitted, taken):
+            s.finalize()
+            assert (s.count, dict(s.histogram)) == (3, {2: 2, 3: 1})
+        assert by_chunk.getvalue() == by_emit.getvalue()
+        first = "50 7 9\n" if original_labels else "0 1 2\n"
+        assert first in by_emit.getvalue()
+
     def test_original_labels_requires_labels(self):
         with pytest.raises(ValueError):
             P.WriterSink(io.StringIO(), use_original_labels=True)
