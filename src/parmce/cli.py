@@ -58,6 +58,8 @@ class RunConfig:
             raise ValueError(f"unknown ordering {self.order!r}")
         if self.mode != "list" and (self.canonical or self.original_labels):
             raise ValueError("--canonical and --original-labels apply only to --mode list")
+        if self.sweep and self.mode != "count":
+            raise ValueError("--sweep reports counts only; it takes no --mode list/histogram")
         if (self.input is None) == (self.gen is None):
             raise ValueError("exactly one of --input / --gen is required")
 
@@ -264,6 +266,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         sweep = [int(t) for t in args.sweep.split(",") if t]
         if not sweep or any(t < 1 for t in sweep):
             raise ValueError(f"bad sweep list {args.sweep!r}")
+        if args.report_json:
+            raise ValueError("--sweep writes a CSV table; it takes no --report-json")
     return RunConfig(
         input=args.input,
         gen=args.gen,

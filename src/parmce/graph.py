@@ -5,6 +5,12 @@ that downstream algorithms can use array-indexed per-vertex tables. Each
 vertex stores one thing: the frozenset of its neighbors, whose expected
 O(1) membership is what makes the kernel's `cand ∩ Γ(v)` cheap. Queries
 that promise an order (`neighbors`, `edges`) sort on the fly.
+
+Construction collects each vertex's neighbors in a plain list (duplicates
+allowed) and then freezes the lists one vertex at a time, dropping each
+list as its frozenset is made. A build therefore peaks at about the
+finished graph's size plus the lists, never at two full copies of the
+adjacency.
 """
 
 from __future__ import annotations
@@ -27,13 +33,18 @@ class Graph:
     `adj_sets[v]` is the frozenset of v's neighbors, the only stored
     adjacency. Immutable after construction and safe to share across
     worker processes.
+
+    `adj` is any iterable of neighbor collections, one per vertex, and is
+    consumed once. Each is frozen as `frozenset(set(nbrs))`: the scratch set
+    inserts in `nbrs` order, exactly as `set.add` would, and the copy gets a
+    smaller table than a frozenset filled straight from the list.
     """
 
     __slots__ = ("n", "m", "adj_sets", "labels")
 
-    def __init__(self, adj: list[set[int]], labels: list[int] | None = None):
-        self.n = n = len(adj)
-        self.adj_sets: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+    def __init__(self, adj: Iterable[Iterable[int]], labels: list[int] | None = None):
+        self.adj_sets: tuple[frozenset[int], ...] = tuple(map(frozenset, map(set, adj)))
+        self.n = n = len(self.adj_sets)
         self.m = sum(map(len, self.adj_sets)) // 2
         self.labels: tuple[int, ...] = tuple(range(n) if labels is None else labels)
         if len(self.labels) != n:
@@ -46,15 +57,15 @@ class Graph:
         cls, n: int, edges: Iterable[tuple[int, int]], labels: list[int] | None = None
     ) -> "Graph":
         """Build a graph on vertices 0..n-1, dropping self-loops and duplicates."""
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 continue
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls(adj, labels)
+            adj[u].append(v)
+            adj[v].append(u)
+        return cls(_drain(adj), labels)
 
     @property
     def adj_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -100,6 +111,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _drain(adj: list) -> Iterator[list[int]]:
+    """Yield each neighbor list once, dropping the caller's reference to it,
+    so that a list is freed as soon as `Graph` has frozen it."""
+    for i, nbrs in enumerate(adj):
+        adj[i] = None
+        yield nbrs
+
+
 # -- edge-list text format ---------------------------------------------------
 
 _COMMENT_PREFIXES = ("#", "%")
@@ -112,10 +131,11 @@ def load_edge_list(stream: IO[bytes] | IO[str] | Iterable[str | bytes]) -> Graph
     blank lines are skipped. Labels are remapped to dense ids in
     first-appearance order. Self-loops are dropped; duplicate and reversed
     edges merge. Empty input yields the empty graph. One pass: each line's
-    edge goes straight into the adjacency sets.
+    edge is appended to its endpoints' neighbor lists, which `Graph` then
+    freezes one vertex at a time.
     """
     ids: dict[int, int] = {}
-    adj: list[set[int]] = []
+    adj: list[list[int]] = []
     for line_no, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             try:
@@ -136,14 +156,16 @@ def load_edge_list(stream: IO[bytes] | IO[str] | Iterable[str | bytes]) -> Graph
             raise EdgeListParseError(line_no, f"non-integer label in {line!r}") from exc
         if a < 0 or b < 0:
             raise EdgeListParseError(line_no, f"negative label in {line!r}")
-        u = ids.setdefault(a, len(ids))
-        v = ids.setdefault(b, len(ids))
-        while len(adj) < len(ids):
-            adj.append(set())
+        u = ids.setdefault(a, len(adj))
+        if u == len(adj):
+            adj.append([])
+        v = ids.setdefault(b, len(adj))
+        if v == len(adj):
+            adj.append([])
         if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return Graph(adj, list(ids))
+            adj[u].append(v)
+            adj[v].append(u)
+    return Graph(_drain(adj), list(ids))
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -157,5 +179,5 @@ def edge_list_lines(g: Graph) -> list[str]:
 
 
 def write_edge_list(g: Graph, out: IO[str]) -> None:
-    for line in edge_list_lines(g):
-        out.write(line + "\n")
+    """Write `edge_list_lines(g)`, one per line, without building the list."""
+    out.writelines(f"{u} {v}\n" for u, v in g.edges())

@@ -52,6 +52,12 @@ class TestRunConfig:
             RunConfig(gen="complete:4", mode=mode, **{flag: True})
         assert getattr(RunConfig(gen="complete:4", mode="list", **{flag: True}), flag)
 
+    @pytest.mark.parametrize("mode", ["histogram", "list"])
+    def test_sweep_needs_count_mode(self, mode):
+        with pytest.raises(ValueError, match="--sweep"):
+            RunConfig(gen="complete:4", mode=mode, sweep=[1, 2])
+        assert RunConfig(gen="complete:4", sweep=[1, 2]).sweep == [1, 2]
+
 
 class TestGeneratorSpec:
     def test_forms(self):
@@ -270,6 +276,21 @@ class TestMainEntry:
         csv_lines = (tmp_path / "s.csv").read_text().splitlines()
         assert csv_lines[0] == "threads,et_seconds,speedup,clique_count"
         assert len(csv_lines) == 3
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--mode", "list"], ["--mode", "histogram"], ["--report-json", "r.json"]],
+    )
+    def test_sweep_with_ignored_output_is_usage_error(
+        self, extra, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gen", "complete:4", "--algo", "parmce",
+                  "--sweep", "1,2", "--output", "x.csv", *extra])
+        assert exc.value.code == 2
+        assert "--sweep" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_sweep_list_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

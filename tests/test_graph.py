@@ -1,4 +1,6 @@
 import io
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -137,6 +139,86 @@ def test_canonical_writer_order():
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ValueError):
         P.Graph.from_edges(2, [(0, 2)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [P.gen_gnp(300, 0.1, 5), P.gen_moon_moser(4), P.gen_complete(7), P.Graph([])],
+    ids=["gnp", "moonmoser", "complete", "empty"],
+)
+def test_write_edge_list_matches_edge_list_lines(g):
+    buf = io.StringIO()
+    P.write_edge_list(g, buf)
+    assert buf.getvalue() == "".join(line + "\n" for line in edge_list_lines(g))
+
+
+# -- how the build lays out and sizes the frozensets -----------------------
+
+
+def messy_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """m random pairs over 0..n-1 (in no order), then about m/8 repeats,
+    some reversed, and n/10 self-loops, interleaved."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+    repeats = [e if rng.random() < 0.5 else e[::-1] for e in rng.sample(edges, m // 8)]
+    loops = [(v, v) for v in rng.sample(range(n), n // 10)]
+    edges += repeats + loops
+    rng.shuffle(edges)
+    return edges
+
+
+def as_bytes(edges) -> io.BytesIO:
+    return io.BytesIO("".join(f"{a} {b}\n" for a, b in edges).encode())
+
+
+def test_frozensets_keep_the_set_add_layout():
+    """Each neighborhood is the frozenset of a set filled by `set.add` in
+    edge order, table layout included, whichever way the graph was built:
+    the search trees and listings follow its iteration order."""
+    edges = messy_edges(2000, 12_000, seed=3)
+    g = P.load_edge_list(as_bytes(edges))
+    ids = {lab: v for v, lab in enumerate(g.labels)}
+    sets: list[set[int]] = [set() for _ in range(g.n)]
+    for a, b in edges:
+        u, v = ids[a], ids[b]
+        if u != v:
+            sets[u].add(v)
+            sets[v].add(u)
+    dense = [(ids[a], ids[b]) for a, b in edges]
+    for built in (g, P.Graph.from_edges(g.n, dense, list(g.labels))):
+        for v in range(g.n):
+            assert list(built.adj_sets[v]) == list(frozenset(sets[v]))
+
+
+def traced_build(build) -> tuple[P.Graph, int, int]:
+    """Run build() under tracemalloc; return the graph, the bytes it holds
+    and the build's peak."""
+    tracemalloc.start()
+    try:
+        g = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return g, held, peak
+
+
+def test_build_peaks_near_the_graphs_own_size():
+    """Neighborhoods are frozen one vertex at a time, so a build never
+    holds a second full copy of the adjacency, which would double its peak."""
+    edges = messy_edges(5000, 40_000, seed=11)
+    data = as_bytes(edges)
+    n = 1 + max(max(e) for e in edges)
+    builds = {
+        "load_edge_list": lambda: P.load_edge_list(data),
+        "from_edges": lambda: P.Graph.from_edges(n, edges),
+    }
+    graphs = []
+    for name, build in builds.items():
+        g, held, peak = traced_build(build)
+        assert g.n >= 4900 and g.m > 35_000
+        assert peak <= 1.25 * held, f"{name}: peak {peak} B for a {held} B graph"
+        graphs.append(g)
+    assert graphs[0].m == graphs[1].m
 
 
 # -- differential fuzz of the loader against the reference -----------------
