@@ -27,11 +27,9 @@ from .parallel import ParallelConfig
 from .pivoting import PivotScore, par_pivot, pivot_scores, select_pivot
 from .ranking import (
     RankAssignment,
-    RankStrategy,
     compute_rank,
     degeneracy_rank,
     degree_rank,
-    rank_less,
     triangle_counts,
 )
 from .sinks import (
@@ -54,7 +52,6 @@ __all__ = [
     "ParallelConfig",
     "PivotScore",
     "RankAssignment",
-    "RankStrategy",
     "Subproblem",
     "WriterSink",
     "brute_force_mce",
@@ -70,7 +67,6 @@ __all__ = [
     "par_pivot",
     "par_ttt",
     "pivot_scores",
-    "rank_less",
     "read_edge_list",
     "root_subproblem",
     "select_pivot",

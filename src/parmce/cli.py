@@ -12,7 +12,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO
 
@@ -20,11 +20,10 @@ from .engines import par_mce, par_ttt, ttt
 from .graph import EdgeListParseError, Graph, read_edge_list, write_edge_list
 from .oracle import gen_complete, gen_gnp, gen_moon_moser
 from .parallel import ParallelConfig
-from .ranking import compute_rank
+from .ranking import ORDERINGS, compute_rank
 from .sinks import EnumerationReport, HistogramSink, WriterSink
 
 ALGOS = ("ttt", "parttt", "parmce")
-ORDERINGS = ("degree", "triangle", "degeneracy")
 MODES = ("count", "histogram", "list")
 
 
@@ -34,24 +33,20 @@ class RunConfig:
     gen: str | None = None
     algo: str = "parmce"
     order: str | None = None
-    threads: int = 1
+    threads: int = ParallelConfig.threads
     mode: str = "count"
     canonical: bool = False
-    cutoff: int = 16
+    cutoff: int = ParallelConfig.cutoff
     output: str | None = None
-    seed: int = 0
     original_labels: bool = False
-    sweep: list[int] | None = field(default=None)
+    sweep: list[int] | None = None
 
     def __post_init__(self) -> None:
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        ParallelConfig(self.threads, self.cutoff)  # raises unless both are >= 1
         if self.order is not None and self.algo != "parmce":
             raise ValueError("--order applies only to parmce")
         if self.order is not None and self.order not in ORDERINGS:
@@ -68,8 +63,8 @@ class RunConfig:
         return self.order if self.order is not None else "degree"
 
 
-def parse_generator_spec(spec: str, default_seed: int = 0) -> Graph:
-    """moonmoser:k | gnp:n,p[,seed] | complete:n"""
+def parse_generator_spec(spec: str) -> Graph:
+    """moonmoser:k | gnp:n,p[,seed] | complete:n (the gnp seed defaults to 0)"""
     name, _, rest = spec.partition(":")
     args = [a for a in rest.split(",") if a] if rest else []
     try:
@@ -78,8 +73,7 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> Graph:
             return gen_moon_moser(int(k))
         if name == "gnp":
             if len(args) == 2:
-                n, p = args
-                return gen_gnp(int(n), float(p), default_seed)
+                args.append("0")
             n, p, seed = args
             return gen_gnp(int(n), float(p), int(seed))
         if name == "complete":
@@ -94,7 +88,7 @@ def load_graph(cfg: RunConfig) -> Graph:
     if cfg.input is not None:
         return read_edge_list(cfg.input)
     assert cfg.gen is not None
-    return parse_generator_spec(cfg.gen, cfg.seed)
+    return parse_generator_spec(cfg.gen)
 
 
 def run_on_graph(
@@ -166,19 +160,11 @@ def scaling_sweep(cfg: RunConfig, thread_list: list[int]) -> list[SweepRow]:
         raise ValueError("--sweep needs a parallel algorithm (parttt or parmce)")
     g = load_graph(cfg)
 
-    base_cfg = RunConfig(
-        input=cfg.input, gen=cfg.gen, algo="ttt", threads=1,
-        mode="count", cutoff=cfg.cutoff, seed=cfg.seed,
-    )
-    base = run_on_graph(g, base_cfg)
+    base = run_on_graph(g, replace(cfg, algo="ttt", order=None, threads=1))
 
     rows = []
     for t in thread_list:
-        row_cfg = RunConfig(
-            input=cfg.input, gen=cfg.gen, algo=cfg.algo, order=cfg.order,
-            threads=t, mode="count", cutoff=cfg.cutoff, seed=cfg.seed,
-        )
-        rep = run_on_graph(g, row_cfg)
+        rep = run_on_graph(g, replace(cfg, threads=t))
         if rep.clique_count != base.clique_count:
             raise RuntimeError(
                 f"count mismatch at {t} threads: "
@@ -220,30 +206,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="enumerate maximal cliques and report")
+    # every run option but --report-json is a RunConfig field of the same
+    # name, and an option left out takes that field's default
+    p_run = sub.add_parser(
+        "run", help="enumerate maximal cliques and report",
+        argument_default=argparse.SUPPRESS,
+    )
     src = p_run.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", metavar="FILE", help="edge-list file to load")
     src.add_argument(
         "--gen", metavar="SPEC",
         help="synthetic graph: moonmoser:k | gnp:n,p[,seed] | complete:n",
     )
-    p_run.add_argument("--algo", choices=ALGOS, default="parmce")
+    p_run.add_argument("--algo", choices=ALGOS)
     p_run.add_argument(
-        "--order", choices=ORDERINGS, default=None,
+        "--order", choices=ORDERINGS,
         help="vertex ranking for parmce (default degree)",
     )
-    p_run.add_argument("--threads", type=int, default=1, metavar="N")
-    p_run.add_argument("--mode", choices=MODES, default="count")
+    p_run.add_argument("--threads", type=int, metavar="N")
+    p_run.add_argument("--mode", choices=MODES)
     p_run.add_argument(
         "--canonical", action="store_true",
-        help="list mode: buffer and sort clique lines before writing",
+        help="list mode: buffer every clique, then write them sorted by their "
+             "dense-id tuples (numerically, not as text)",
     )
-    p_run.add_argument("--cutoff", type=int, default=16, metavar="N",
+    p_run.add_argument("--cutoff", type=int, metavar="N",
                        help="min cand size for spawning parallel subproblems")
     p_run.add_argument("--output", metavar="FILE",
                        help="clique listing (list mode) or sweep CSV destination")
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="seed for gnp specs that omit one")
     p_run.add_argument("--original-labels", action="store_true",
                        help="list mode: write input labels instead of dense ids")
     p_run.add_argument("--report-json", metavar="FILE",
@@ -254,39 +244,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write a synthetic graph as an edge list")
     p_gen.add_argument("--gen", metavar="SPEC", required=True,
                        help="moonmoser:k | gnp:n,p[,seed] | complete:n")
-    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", metavar="FILE",
                        help="destination (default stdout)")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sweep = None
-    if args.sweep:
-        sweep = [int(t) for t in args.sweep.split(",") if t]
+def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, str | None]:
+    """The run's settings, and the --report-json path if one was given."""
+    opts = vars(args).copy()
+    del opts["command"]
+    report_json = opts.pop("report_json", None)
+    if "sweep" in opts:
+        sweep = [int(t) for t in opts["sweep"].split(",") if t]
         if not sweep or any(t < 1 for t in sweep):
-            raise ValueError(f"bad sweep list {args.sweep!r}")
-        if args.report_json:
+            raise ValueError(f"bad sweep list {opts['sweep']!r}")
+        if report_json:
             raise ValueError("--sweep writes a CSV table; it takes no --report-json")
-    return RunConfig(
-        input=args.input,
-        gen=args.gen,
-        algo=args.algo,
-        order=args.order,
-        threads=args.threads,
-        mode=args.mode,
-        canonical=args.canonical,
-        cutoff=args.cutoff,
-        output=args.output,
-        seed=args.seed,
-        original_labels=args.original_labels,
-        sweep=sweep,
-    )
+        opts["sweep"] = sweep
+    return RunConfig(**opts), report_json
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
-        cfg = _config_from_args(args)
+        cfg, report_json = _config_from_args(args)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
 
@@ -304,13 +284,13 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         report_stream = sys.stderr  # keep the clique listing clean on stdout
     print(report.as_kv_text(include_histogram=cfg.mode == "histogram"),
           file=report_stream)
-    if args.report_json:
-        Path(args.report_json).write_text(report.as_json() + "\n")
+    if report_json:
+        Path(report_json).write_text(report.as_json() + "\n")
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    g = parse_generator_spec(args.gen, args.seed)
+    g = parse_generator_spec(args.gen)
     if args.output:
         with open(args.output, "w") as out:
             write_edge_list(g, out)

@@ -65,13 +65,8 @@ def gen_moon_moser(k: int) -> Graph:
     if k < 0:
         raise ValueError("k must be non-negative")
     n = 3 * k
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if u // 3 != v // 3
-    ]
-    return Graph.from_edges(n, edges)
+    pairs = ((u, v) for u in range(n) for v in range(u + 1, n) if u // 3 != v // 3)
+    return Graph.from_edges(n, pairs)
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
@@ -85,16 +80,12 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    rng = random.Random(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    draw = random.Random(seed).random
+    pairs = ((u, v) for u in range(n) for v in range(u + 1, n) if draw() < p)
+    return Graph.from_edges(n, pairs)
 
 
 def gen_complete(n: int) -> Graph:
     if n < 0:
         raise ValueError("n must be non-negative")
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))

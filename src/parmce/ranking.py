@@ -13,35 +13,22 @@ separately from enumeration time by the bench driver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .graph import Graph
 
 
-class RankStrategy(Enum):
-    DEGREE = "degree"
-    TRIANGLE = "triangle"
-    DEGENERACY = "degeneracy"
-
-
 @dataclass(frozen=True)
 class RankAssignment:
-    strategy: RankStrategy
+    strategy: str
     values: tuple[int, ...]
 
     def key(self, v: int) -> tuple[int, int]:
+        """v's place in the strict total order: u precedes v iff key(u) < key(v)."""
         return (self.values[v], v)
 
 
-def rank_less(r: RankAssignment, u: int, v: int) -> bool:
-    """True iff u precedes v in the strict total order (value, id)."""
-    return (r.values[u], u) < (r.values[v], v)
-
-
 def degree_rank(g: Graph) -> RankAssignment:
-    return RankAssignment(
-        RankStrategy.DEGREE, tuple(len(s) for s in g.adj_sets)
-    )
+    return RankAssignment("degree", tuple(len(s) for s in g.adj_sets))
 
 
 def triangle_counts(g: Graph) -> RankAssignment:
@@ -59,7 +46,7 @@ def triangle_counts(g: Graph) -> RankAssignment:
                 c = len(nu & adj[v])
                 acc[u] += c
                 acc[v] += c
-    return RankAssignment(RankStrategy.TRIANGLE, tuple(x // 2 for x in acc))
+    return RankAssignment("triangle", tuple(x // 2 for x in acc))
 
 
 def degeneracy_rank(g: Graph) -> RankAssignment:
@@ -72,7 +59,7 @@ def degeneracy_rank(g: Graph) -> RankAssignment:
     n = g.n
     deg = [len(s) for s in g.adj_sets]
     if n == 0:
-        return RankAssignment(RankStrategy.DEGENERACY, ())
+        return RankAssignment("degeneracy", ())
     max_deg = max(deg)
 
     bin_start = [0] * (max_deg + 1)
@@ -112,17 +99,19 @@ def degeneracy_rank(g: Graph) -> RankAssignment:
             bin_start[dw] += 1
             deg[w] -= 1
 
-    return RankAssignment(RankStrategy.DEGENERACY, tuple(deg))
+    return RankAssignment("degeneracy", tuple(deg))
 
 
 _STRATEGIES = {
-    RankStrategy.DEGREE: degree_rank,
-    RankStrategy.TRIANGLE: triangle_counts,
-    RankStrategy.DEGENERACY: degeneracy_rank,
+    "degree": degree_rank,
+    "triangle": triangle_counts,
+    "degeneracy": degeneracy_rank,
 }
 
+ORDERINGS = tuple(_STRATEGIES)
 
-def compute_rank(g: Graph, strategy: RankStrategy | str) -> RankAssignment:
-    if isinstance(strategy, str):
-        strategy = RankStrategy(strategy)
+
+def compute_rank(g: Graph, strategy: str) -> RankAssignment:
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown ordering {strategy!r}")
     return _STRATEGIES[strategy](g)

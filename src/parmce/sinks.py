@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Any, Callable, Mapping, Sequence
 
 
@@ -91,9 +91,10 @@ class WriterSink(HistogramSink):
     """Writes one clique per line, ascending ids space-separated.
 
     It keeps the size histogram of what it writes. canonical=True buffers
-    everything and writes in sorted order (stable golden files across
-    thread budgets and engines). use_original_labels translates dense ids
-    back through the load-time label map. On the pool, a worker formats
+    everything and writes the cliques sorted by their dense-id tuples
+    (stable golden files across thread budgets and engines).
+    use_original_labels translates dense ids back through the load-time
+    label map. On the pool, a worker formats
     each chunk's lines (encode) and the driver writes them as one block
     (take); canonical chunks travel as tuples. The first write error (a
     full disk, a reader that closed the pipe) raises from the emit, take
@@ -218,15 +219,4 @@ class EnumerationReport:
         return "\n".join(lines)
 
     def as_json(self) -> str:
-        return json.dumps(
-            {
-                "clique_count": self.clique_count,
-                "size_histogram": {str(k): v for k, v in self.size_histogram.items()},
-                "max_clique_size": self.max_clique_size,
-                "avg_clique_size": self.avg_clique_size,
-                "rt_seconds": self.rt_seconds,
-                "et_seconds": self.et_seconds,
-                "tt_seconds": self.tt_seconds,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)

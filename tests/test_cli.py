@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import signal
@@ -8,8 +9,11 @@ import time
 import pytest
 
 import parmce as P
+import parmce.cli
 from parmce.cli import (
     RunConfig,
+    _config_from_args,
+    build_parser,
     format_sweep_table,
     main,
     parse_generator_spec,
@@ -65,7 +69,7 @@ class TestGeneratorSpec:
         assert parse_generator_spec("complete:5").m == 10
         g = parse_generator_spec("gnp:20,0.5,7")
         assert g == P.gen_gnp(20, 0.5, 7)
-        assert parse_generator_spec("gnp:20,0.5", default_seed=7) == g
+        assert parse_generator_spec("gnp:20,0.5") == P.gen_gnp(20, 0.5, 0)
 
     @pytest.mark.parametrize(
         "spec", ["", "mm:3", "moonmoser:", "moonmoser:x", "gnp:10", "complete:1,2"]
@@ -180,17 +184,59 @@ class TestScalingSweep:
         table = format_sweep_table(rows)
         assert "threads" in table and len(table.splitlines()) == 3
 
-    def test_single_thread_row_is_ratio_of_two_runs(self):
-        cfg = RunConfig(gen="gnp:150,0.25,9", algo="parttt")
-        rows = scaling_sweep(cfg, [1])
-        assert rows[0].speedup == pytest.approx(
-            rows[0].speedup * rows[0].et_seconds / rows[0].et_seconds
-        )
-        assert rows[0].speedup > 0
+    def test_single_thread_row_is_ratio_of_two_runs(self, monkeypatch):
+        ran = []
+
+        def fixed_et(g, cfg):
+            ran.append(cfg)
+            et = 3.0 if cfg.algo == "ttt" else {1: 4.0, 2: 1.5}[cfg.threads]
+            return P.EnumerationReport(clique_count=7, et_seconds=et)
+
+        monkeypatch.setattr(parmce.cli, "run_on_graph", fixed_et)
+        cfg = RunConfig(gen="complete:5", algo="parmce", order="triangle", cutoff=3)
+        rows = scaling_sweep(cfg, [1, 2])
+        # speedup is the baseline's ET over the row's ET
+        assert [(r.threads, r.et_seconds, r.speedup, r.clique_count) for r in rows] == [
+            (1, 4.0, 0.75, 7), (2, 1.5, 2.0, 7),
+        ]
+        base, *row_cfgs = ran
+        assert (base.algo, base.threads, base.cutoff) == ("ttt", 1, 3)
+        assert [(c.algo, c.order, c.cutoff, c.threads) for c in row_cfgs] == [
+            ("parmce", "triangle", 3, 1), ("parmce", "triangle", 3, 2),
+        ]
 
     def test_sweep_rejects_sequential_algo(self):
         with pytest.raises(ValueError):
             scaling_sweep(RunConfig(gen="complete:5", algo="ttt"), [1])
+
+
+class TestRunOptions:
+    @staticmethod
+    def parse(*argv):
+        return _config_from_args(build_parser().parse_args(["run", *argv]))
+
+    def test_options_and_fields_match(self):
+        (sub,) = [a for a in build_parser()._actions if a.choices and "run" in a.choices]
+        dests = {a.dest for a in sub.choices["run"]._actions if a.dest != "help"}
+        assert dests - {"report_json"} == {f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_omitted_options_take_the_field_defaults(self):
+        assert self.parse("--gen", "complete:4") == (RunConfig(gen="complete:4"), None)
+
+    def test_each_option_sets_its_field(self):
+        cfg, report_json = self.parse(
+            "--gen", "moonmoser:3", "--algo", "parmce", "--order", "triangle",
+            "--threads", "3", "--mode", "list", "--canonical", "--cutoff", "5",
+            "--output", "o.txt", "--original-labels", "--report-json", "r.json",
+        )
+        assert cfg == RunConfig(
+            gen="moonmoser:3", algo="parmce", order="triangle", threads=3,
+            mode="list", canonical=True, cutoff=5, output="o.txt",
+            original_labels=True,
+        )
+        assert report_json == "r.json"
+        cfg, _ = self.parse("--input", "g.txt", "--sweep", "1,2,4")
+        assert (cfg.input, cfg.sweep) == ("g.txt", [1, 2, 4])
 
 
 class TestMainEntry:

@@ -320,7 +320,7 @@ class TestParMCE:
             assert a == b == c
 
     def test_rank_length_mismatch_rejected(self):
-        bad = P.RankAssignment(P.RankStrategy.DEGREE, (0, 0))
+        bad = P.RankAssignment("degree", (0, 0))
         with pytest.raises(ValueError):
             P.par_mce(K3, bad, P.CountingSink())
 

@@ -221,6 +221,19 @@ def test_build_peaks_near_the_graphs_own_size():
     assert graphs[0].m == graphs[1].m
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: P.gen_gnp(800, 0.2, 42), lambda: P.gen_moon_moser(60), lambda: P.gen_complete(500)],
+    ids=["gnp", "moon_moser", "complete"],
+)
+def test_generators_peak_near_the_graphs_own_size(build):
+    """The generators stream their pairs into the build instead of listing
+    every edge first, which would add a tuple per edge to the peak."""
+    g, held, peak = traced_build(build)
+    assert g.m > 10_000
+    assert peak <= 1.25 * held, f"peak {peak} B for a {held} B graph"
+
+
 # -- differential fuzz of the loader against the reference -----------------
 
 _LABEL = st.one_of(st.integers(0, 20), st.integers(10**30, 10**30 + 2)).map(str)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmce as P
-from parmce.ranking import RankAssignment, RankStrategy
+from parmce.ranking import ORDERINGS, RankAssignment
 
 from util import peel_core_numbers, triangle_total_by_triples
 
@@ -98,33 +98,35 @@ class TestDegeneracyRank:
         assert all(a >= b for a, b in zip(after, before))
 
 
-class TestRankLess:
+class TestRankKey:
     def test_examples(self):
-        r = RankAssignment(RankStrategy.DEGREE, (1, 2, 1))
-        assert P.rank_less(r, 0, 2)
-        assert not P.rank_less(r, 1, 0)
-        r2 = RankAssignment(RankStrategy.DEGREE, (5, 3))
-        assert P.rank_less(r2, 1, 0)
+        r = RankAssignment("degree", (1, 2, 1))
+        assert r.key(0) < r.key(2)
+        assert not r.key(1) < r.key(0)
+        r2 = RankAssignment("degree", (5, 3))
+        assert r2.key(1) < r2.key(0)
 
     @given(st.lists(st.integers(0, 5), min_size=2, max_size=30))
     def test_strict_total_order(self, values):
-        r = RankAssignment(RankStrategy.DEGREE, tuple(values))
+        r = RankAssignment("degree", tuple(values))
         n = len(values)
         for u in range(n):
-            assert not P.rank_less(r, u, u)
+            assert not r.key(u) < r.key(u)
             for v in range(n):
                 if u != v:
-                    assert P.rank_less(r, u, v) != P.rank_less(r, v, u)
+                    assert (r.key(u) < r.key(v)) != (r.key(v) < r.key(u))
         # transitivity on the derived sorted order
         order = order_of(r)
         for i in range(n - 1):
-            assert P.rank_less(r, order[i], order[i + 1])
+            assert r.key(order[i]) < r.key(order[i + 1])
 
 
 def test_compute_rank_dispatch():
+    import parmce.cli
+
+    assert ORDERINGS == parmce.cli.ORDERINGS == ("degree", "triangle", "degeneracy")
     g = P.gen_complete(3)
-    assert P.compute_rank(g, "degree").strategy is RankStrategy.DEGREE
-    assert P.compute_rank(g, "triangle").strategy is RankStrategy.TRIANGLE
-    assert P.compute_rank(g, "degeneracy").strategy is RankStrategy.DEGENERACY
-    with pytest.raises(ValueError):
+    for name in ORDERINGS:
+        assert P.compute_rank(g, name).strategy == name
+    with pytest.raises(ValueError, match="nope"):
         P.compute_rank(g, "nope")

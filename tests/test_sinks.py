@@ -196,6 +196,24 @@ class TestEnumerationReport:
         assert "rt_seconds=0.250000" in text
         assert "hist[2]=9" in text
 
+    def test_json_text(self):
+        hist = P.HistogramSink()
+        for c in [tuple(range(10)), (0, 10), (1, 10), (2, 10)]:
+            hist.emit(c)
+        rep = P.EnumerationReport.from_histogram(hist, rt=0.25, et=0.5, tt=0.75)
+        assert rep.as_json() == """{
+  "clique_count": 4,
+  "size_histogram": {
+    "2": 3,
+    "10": 1
+  },
+  "max_clique_size": 10,
+  "avg_clique_size": 4.0,
+  "rt_seconds": 0.25,
+  "et_seconds": 0.5,
+  "tt_seconds": 0.75
+}"""
+
     def test_json(self):
         data = json.loads(self.make().as_json())
         assert data["clique_count"] == 9
