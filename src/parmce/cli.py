@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cutoff", type=int, metavar="N",
                        help="min cand size for spawning parallel subproblems")
     p_run.add_argument("--output", metavar="FILE",
-                       help="clique listing (list mode) or sweep CSV destination")
+                       help="clique listing (list mode), or the sweep's CSV table "
+                            "(without it a sweep only prints the table)")
     p_run.add_argument("--original-labels", action="store_true",
                        help="list mode: write input labels instead of dense ids")
     p_run.add_argument("--report-json", metavar="FILE",
@@ -273,9 +274,9 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if cfg.sweep:
         rows = scaling_sweep(cfg, cfg.sweep)
         print(format_sweep_table(rows))
-        csv_path = cfg.output if cfg.output else "sweep.csv"
-        write_sweep_csv(rows, csv_path)
-        print(f"wrote {csv_path}")
+        if cfg.output:
+            write_sweep_csv(rows, cfg.output)
+            print(f"wrote {cfg.output}")
         return 0
 
     report = run(cfg)

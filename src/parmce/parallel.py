@@ -15,17 +15,17 @@ than one per child. A shared counter holds the batches queued or running,
 so the worker that finishes the last one knows the work is done and tells
 every worker to stop.
 
-Workers never share mutable algorithm state; each keeps a local size
-histogram and sends it on its own pipe when it stops. When the sink needs
-the cliques (a listing), a worker also sends them on that pipe while it
-searches, in chunks of at most _CHUNK cliques encoded by the sink in the
-worker, and the driver hands each chunk to the sink as it arrives. A full
-pipe blocks its worker, so a listing holds O(_CHUNK * workers) cliques in
-flight, not the whole output. The driver waits in its main thread on
-those pipes and on the workers' process sentinels, so the first task that
-raises, or a worker that dies, ends the run at once with an error instead
-of a hang. The workers ignore SIGINT; a KeyboardInterrupt in the driver
-terminates them.
+Workers never share mutable algorithm state; results leave a worker one
+way only. It gathers its cliques in chunks of at most _CHUNK, has the
+sink encode each chunk in the worker (see CliqueSink.encode) and sends
+the payload on its own pipe while it searches; the driver hands each
+payload to the sink's take() as it arrives. A full pipe blocks its
+worker, so a run holds O(_CHUNK * workers) cliques in flight, not the
+whole output. The driver waits in its main thread on those pipes and on
+the workers' process sentinels, so the first task that raises, a failed
+final flush, or a worker that dies, ends the run at once with an error
+instead of a hang. The workers ignore SIGINT; a KeyboardInterrupt in
+the driver terminates them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import signal
 import traceback
-from collections import Counter
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any, Callable
@@ -107,25 +106,19 @@ def _worker(
     # It was blocked across the fork, so none slipped in before this line.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    hist: Counter[int] = Counter()
     chunk: list[tuple[int, ...]] = []
     hunger_mark = 2 * workers
 
-    def count(clique: tuple[int, ...]) -> None:
-        hist[len(clique)] += 1
-
     def send_chunk() -> None:
         nonlocal chunk
-        hist.update(map(len, chunk))
-        conn.send(("cliques", sink.encode(chunk)))  # type: ignore[union-attr]
+        if sink:
+            conn.send(("cliques", sink.encode(chunk)))
         chunk = []
 
-    def stream(clique: tuple[int, ...]) -> None:
+    def emit(clique: tuple[int, ...]) -> None:
         chunk.append(clique)
         if len(chunk) == _CHUNK:
             send_chunk()
-
-    emit = stream if sink is not None else count
 
     def spawn(tasks: list[Any]) -> None:
         batches = _batches(tasks, workers)
@@ -142,17 +135,17 @@ def _worker(
 
     while True:
         batch = work_q.get()
-        if batch is None:
-            if chunk:
-                send_chunk()
-            conn.send(("done", hist))
-            return
-        for task in batch:
-            try:
-                handler(task, emit, spawn, hungry)
-            except Exception:
-                conn.send(("failed", traceback.format_exc()))
+        try:
+            if batch is None:
+                if chunk:
+                    send_chunk()
+                conn.send(("done", None))
                 return
+            for task in batch:
+                handler(task, emit, spawn, hungry)
+        except Exception:
+            conn.send(("failed", traceback.format_exc()))
+            return
         with pending.get_lock():
             pending.value -= 1
             if pending.value == 0:
@@ -160,14 +153,14 @@ def _worker(
                     work_q.put(None)
 
 
-def _collect(left: dict[Any, Any], hist: Counter[int], sink: CliqueSink | None) -> None:
+def _collect(left: dict[Any, Any], sink: CliqueSink | None) -> None:
     """Read every worker's messages in `left` (pipe -> process) to its report.
 
-    Clique chunks go to sink.take() as they arrive; each worker's final
-    report merges its histogram into `hist`. A task traceback raises at
-    once. A sentinel that fires while its pipe holds nothing means the
-    worker died; a pipe is checked before its sentinel, so a worker that
-    reported and then exited is not flagged.
+    Each payload goes to sink.take() as it arrives, until every worker has
+    reported done. A task traceback raises at once. A sentinel that fires
+    while its pipe holds nothing means the worker died; a pipe is checked
+    before its sentinel, so a worker that reported and then exited is not
+    flagged.
     """
     while left:
         ready = wait([*left, *(p.sentinel for p in left.values())])
@@ -177,7 +170,6 @@ def _collect(left: dict[Any, Any], hist: Counter[int], sink: CliqueSink | None) 
                 if tag == "cliques":
                     sink.take(body)  # type: ignore[union-attr]
                 elif tag == "done":
-                    hist.update(body)
                     del left[conn]
                 else:
                     raise RuntimeError("worker task failed:\n" + body)
@@ -193,33 +185,30 @@ def run_task_pool(
     handler: Callable[..., None],
     config: ParallelConfig,
     sink: CliqueSink | None = None,
-) -> Counter[int]:
+) -> None:
     """Run tasks on `config.threads` forked workers; deliver their results.
 
     `handler(task, emit, spawn, hungry)` may pass a list of follow-up tasks
     to spawn, and hungry() reports whether the shared queue wants more of
     them. A shared counter of queued or running batches tells the workers
-    when to stop and send their histograms on their own pipes. When
-    `sink.needs_cliques`, the workers stream their cliques to sink.take()
-    as they go (see CliqueSink.encode); otherwise the merged histogram goes
-    to sink.absorb() at the end. With no sink (None or False) the cliques
-    are only counted. This thread waits on the pipes and the workers'
-    sentinels, and the first task that raises, or a worker that dies,
-    raises RuntimeError and terminates the rest; so does an error raised
-    by the sink, such as a failed write. Returns the size histogram.
+    when to stop. Every worker sends sink.encode(chunk) for each chunk of
+    at most _CHUNK cliques as it goes, and this thread passes each payload
+    to sink.take(); with no sink (None or False) the cliques are dropped.
+    This thread waits on the pipes and the workers' sentinels, and the
+    first task that raises, or a worker that dies, raises RuntimeError and
+    terminates the rest; so does an error raised by the sink, such as a
+    failed write.
     """
-    hist: Counter[int] = Counter()
-    listing = sink if sink and sink.needs_cliques else None
     batches = _batches(tasks, config.threads)
     if not batches:
-        return hist
+        return
     ctx = mp.get_context("fork")
     work_q = ctx.Queue()
     pending = ctx.Value("i", len(batches))
     # The driver keeps every sending end open as well, so a pipe turns ready
     # only with a message, never with end-of-file.
     pipes = [ctx.Pipe(duplex=False) for _ in range(config.threads)]
-    args = (work_q, pending, handler, listing, config.threads)
+    args = (work_q, pending, handler, sink, config.threads)
     workers = [ctx.Process(target=_worker, args=(send, *args), daemon=True) for _, send in pipes]
     try:
         # Fork every worker before the first put starts the queue's thread,
@@ -232,7 +221,7 @@ def run_task_pool(
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         for batch in batches:
             work_q.put(batch)
-        _collect({recv: p for (recv, _), p in zip(pipes, workers)}, hist, listing)
+        _collect({recv: p for (recv, _), p in zip(pipes, workers)}, sink)
     except BaseException:
         work_q.cancel_join_thread()
         for p in workers:
@@ -247,6 +236,3 @@ def run_task_pool(
             recv.close()
             send.close()
         work_q.close()
-    if sink and listing is None:
-        sink.absorb(hist)
-    return hist

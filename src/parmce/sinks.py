@@ -2,15 +2,15 @@
 
 Sinks receive cliques as ascending tuples of dense ids, as the kernel
 emits them, and never re-sort them. Sequential engines call emit() once
-per clique. On the worker pool a sink that needs the cliques
-(`needs_cliques`) has them streamed while the workers search: a worker
-passes every chunk of cliques it finds to the sink's encode(), in the
-worker, and sends the result on its pipe; the driver hands each payload
-to take() as it arrives. By default the payload is the tuples and take()
-emits them; WriterSink formats its lines in the worker instead, so the
-driver only writes them. Any other sink gets the workers' merged size
-histogram through absorb() when the pool ends. Every clique reaches a
-sink exactly once, by one of these routes; no sink locks.
+per clique. On the worker pool every sink gets its results one way: a
+worker passes each chunk of cliques it finds to the sink's encode(), in
+the worker, and sends the result on its pipe while it searches; the
+driver hands each payload to take() as it arrives. By default a sink
+that needs the cliques (`needs_cliques`) gets the tuples, and take()
+emits them; any other sink gets each chunk's size histogram, and take()
+passes it to absorb(). WriterSink formats its lines in the worker
+instead, so the driver only writes them. Every clique reaches a sink
+exactly once; no sink locks.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import IO, Any, Callable, Mapping, Sequence
 class CliqueSink:
     """Base consumer; subclasses override emit and optionally absorb.
 
-    A sink with needs_cliques set may also override encode() and take(),
-    as a pair, to choose what a pool worker sends for a chunk of cliques.
+    A sink may also override encode() and take(), as a pair, to choose
+    what a pool worker sends for a chunk of cliques.
     """
 
     needs_cliques = False
@@ -38,43 +38,45 @@ class CliqueSink:
         raise NotImplementedError
 
     def encode(self, cliques: list[tuple[int, ...]]) -> Any:
-        """Worker side: the picklable payload that stands for `cliques`."""
-        return cliques
+        """Worker side: the picklable payload that stands for `cliques`.
+
+        The cliques themselves if the sink needs them, else their size
+        histogram.
+        """
+        if self.needs_cliques:
+            return cliques
+        return Counter(map(len, cliques))
 
     def take(self, payload: Any) -> None:
-        """Driver side: consume one payload made by encode()."""
-        for clique in payload:
-            self.emit(clique)
+        """Driver side: consume one payload made by encode().
+
+        Emits each clique if the sink needs them, else absorbs the histogram.
+        """
+        if self.needs_cliques:
+            for clique in payload:
+                self.emit(clique)
+        else:
+            self.absorb(payload)
 
     def finalize(self) -> None:
         pass
 
 
-class CountingSink(CliqueSink):
-    def __init__(self) -> None:
-        self.count = 0
-
-    def emit(self, clique: tuple[int, ...]) -> None:
-        self.count += 1
-
-    def absorb(self, hist: Mapping[int, int]) -> None:
-        self.count += sum(hist.values())
-
-
 class HistogramSink(CliqueSink):
-    """Size -> frequency of emitted cliques; also tracks the total count."""
+    """Size -> frequency of emitted cliques; its total is the count."""
 
     def __init__(self) -> None:
         self.histogram: Counter[int] = Counter()
-        self.count = 0
 
     def emit(self, clique: tuple[int, ...]) -> None:
         self.histogram[len(clique)] += 1
-        self.count += 1
 
     def absorb(self, hist: Mapping[int, int]) -> None:
-        self.count += sum(hist.values())
         self.histogram.update(hist)
+
+    @property
+    def count(self) -> int:
+        return sum(self.histogram.values())
 
     @property
     def max_size(self) -> int:
@@ -85,6 +87,10 @@ class HistogramSink(CliqueSink):
         if self.count == 0:
             return 0.0
         return sum(s * c for s, c in self.histogram.items()) / self.count
+
+
+# One counter: a histogram's total is the clique count.
+CountingSink = HistogramSink
 
 
 class WriterSink(HistogramSink):

@@ -323,6 +323,13 @@ class TestMainEntry:
         assert csv_lines[0] == "threads,et_seconds,speedup,clique_count"
         assert len(csv_lines) == 3
 
+    def test_sweep_without_output_only_prints_the_table(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--gen", "gnp:60,0.2,4", "--algo", "parmce",
+                     "--sweep", "1,2"]) == 0
+        assert "speedup" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "extra",
         [["--mode", "list"], ["--mode", "histogram"], ["--report-json", "r.json"]],

@@ -1,5 +1,5 @@
 """The forked task pool: batched messages, spawned batches, streamed
-listings, failures and Ctrl-C.
+listings and counts, failures and Ctrl-C.
 
 Each test that could hang on a pool defect runs under a deadline, so a
 regression fails instead of stalling the suite.
@@ -71,15 +71,15 @@ class TestBatchedPool:
     def test_zero_tasks(self):
         sink = CollectSink()
         with deadline(30):
-            hist = run_task_pool([], emit_task, ParallelConfig(2), sink)
-        assert (hist, sink.cliques) == (Counter(), [])
+            run_task_pool([], emit_task, ParallelConfig(2), sink)
+        assert sink.cliques == []
         assert mp.active_children() == []
 
     def test_more_workers_than_tasks(self):
         sink = CollectSink()
         with deadline(30):
-            hist = run_task_pool([0, 1], emit_task, ParallelConfig(3), sink)
-            assert (hist, sorted(sink.cliques)) == (Counter({1: 2}), [(0,), (1,)])
+            run_task_pool([0, 1], emit_task, ParallelConfig(3), sink)
+            assert sorted(sink.cliques) == [(0,), (1,)]
             # 3 vertices: 3 par_mce tasks and 1 par_ttt root, on 4 workers
             engines_agree_with_ttt(P.gen_gnp(3, 0.7, 1), threads=4, cutoff=1)
 
@@ -111,19 +111,18 @@ class TestBatchedPool:
 
         sink = CollectSink()
         with deadline(60):
-            hist = run_task_pool([(0, 0)], handler, ParallelConfig(4), sink)
+            run_task_pool([(0, 0)], handler, ParallelConfig(4), sink)
         assert sorted(sink.cliques) == [(i,) for i in range(8**4)]
-        assert hist == Counter({1: 8**4})
         assert mp.active_children() == []
 
     def test_counting_sink_gets_the_merged_histogram_once(self):
         sink = P.HistogramSink()
         with deadline(30):
-            hist = run_task_pool(list(range(37)), emit_task, ParallelConfig(2), sink)
-        assert hist == sink.histogram == Counter({1: 37})
+            assert run_task_pool(list(range(37)), emit_task, ParallelConfig(2), sink) is None
+        assert sink.histogram == Counter({1: 37})
         assert sink.count == 37
         with deadline(30):
-            assert run_task_pool(list(range(5)), emit_task, ParallelConfig(2), False) == Counter({1: 5})
+            assert run_task_pool(list(range(5)), emit_task, ParallelConfig(2), False) is None
 
 
 class PayloadLog(P.CliqueSink):
@@ -139,6 +138,21 @@ class PayloadLog(P.CliqueSink):
 
     def take(self, payload):
         self.payloads.append(payload)
+
+
+class SizeLog(P.HistogramSink):
+    """A counting sink that records what each worker sends, tagged with its pid."""
+
+    def __init__(self):
+        super().__init__()
+        self.payloads = []
+
+    def encode(self, cliques):
+        return os.getpid(), super().encode(cliques)
+
+    def take(self, payload):
+        self.payloads.append(payload)
+        super().take(payload[1])
 
 
 class TestStreamedListing:
@@ -201,6 +215,30 @@ class TestStreamedListing:
         assert mp.active_children() == []
 
 
+class TestStreamedCounts:
+    @pytest.mark.parametrize("engine", ["parmce", "parttt"])
+    def test_workers_send_size_histograms_while_they_search(self, engine):
+        # the count-mode twin of the streamed listing: the same chunks, each
+        # sent as its size histogram rather than as the cliques
+        g = P.gen_moon_moser(9)
+        sink = SizeLog()
+        cfg = ParallelConfig(threads=2)
+        with deadline(60):
+            if engine == "parmce":
+                P.par_mce(g, P.degree_rank(g), sink, cfg)
+            else:
+                P.par_ttt(g, None, sink, cfg)
+        assert mp.active_children() == []
+        for _, sizes in sink.payloads:
+            assert isinstance(sizes, Counter)
+            assert set(sizes) == {9}
+            assert 0 < sum(sizes.values()) <= _CHUNK
+        per_worker = Counter(pid for pid, _ in sink.payloads)
+        assert len(per_worker) == 2
+        assert min(per_worker.values()) > 1
+        assert sink.count == 3**9
+
+
 class TestPoolFailures:
     def test_task_raising_mid_batch_is_reported(self):
         tasks = list(range(100))
@@ -218,6 +256,18 @@ class TestPoolFailures:
                 run_task_pool(tasks, handler, ParallelConfig(2), False)
         assert "Traceback" in str(info.value)
         assert f"ValueError: task {bad} failed" in str(info.value)
+        assert mp.active_children() == []
+
+    def test_failing_final_flush_is_reported(self):
+        # each worker's last, partial chunk is encoded after its last task
+        class EncodeFails(CollectSink):
+            def encode(self, cliques):
+                raise ValueError("cannot encode")
+
+        with deadline(30):
+            with pytest.raises(RuntimeError) as info:
+                run_task_pool([0, 1, 2], emit_task, ParallelConfig(2), EncodeFails())
+        assert "ValueError: cannot encode" in str(info.value)
         assert mp.active_children() == []
 
     def test_dead_worker_raises_instead_of_hanging(self):
