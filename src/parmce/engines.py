@@ -1,6 +1,9 @@
 """The three enumeration engines, all running one search kernel.
 
-ttt      - sequential pivoted backtracking with incremental cand/fini updates.
+ttt      - sequential pivoted backtracking. The root step of the whole
+           graph runs on id sets with incremental cand/fini updates, and
+           each of its children is a task for the kernel; a subproblem
+           with a nonempty clique K is one task.
 par_ttt  - the same search on a worker pool. The driver picks the root's
            pivot, and each of the root's branch vertices q is a vertex
            task: a worker builds q's child from Γ(q) alone, iteration i of
@@ -17,6 +20,17 @@ par_mce  - one subproblem per vertex v (clique seed {v}), with v's
            its lowest-ranked member; subproblems run through the kernel on
            the shared pool and may be donated the same way.
 
+The kernel searches a task (K, cand, fini) in a frame: cand ∪ fini in
+ascending id order, bit i for the i-th vertex, and each vertex's
+neighbours in the frame as one int bit mask. Every task lies inside one
+Γ(q) (a root child, a vertex task, a donated node's child or a
+subproblem with q in K), so a frame has at most Δ bits; the root of the
+whole graph is never framed. Pivot ties and branch order follow vertex
+ids, so the search tree and the order of emissions are those of the
+same search on id sets. Tasks and children with at most two candidates
+are decided in closed form, and finished vertices with no candidate
+neighbour are left out of the frame.
+
 A vertex task of either parallel engine is the same thing: child v of a
 base subproblem under a strict order (`_vertex_child`). For par_mce the
 base is the whole graph and the order is the ranking; for par_ttt it is
@@ -29,7 +43,7 @@ and scheduling differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .graph import Graph
 from .parallel import ParallelConfig, run_task_pool
@@ -41,6 +55,12 @@ Child = tuple[tuple[int, ...], set[int], set[int]]
 # (K0, cand0, fini0) of a family of vertex tasks; cand0 None stands for every
 # vertex of the graph, and fini0 is a set.
 Base = tuple[tuple[int, ...], frozenset[int] | set[int] | None, set[int]]
+# key[w] orders vertices strictly: values[w] * n + w for a ranking's values.
+Keys = Sequence[int] | Mapping[int, int]
+Emit = Callable[[tuple[int, ...]], None]
+# A node's split hook split(K, cand, fini, F=None): True if it took the node
+# away. cand and fini are id sets, or with F, bit masks over the frame F.
+Split = Callable[..., bool]
 
 
 @dataclass(frozen=True)
@@ -78,21 +98,165 @@ def root_subproblem(g: Graph) -> Subproblem:
 # -- the search kernel --------------------------------------------------------
 
 
-def _ttt(
+def _ids(F: Sequence[int], mask: int) -> set[int]:
+    """The vertex ids of a frame's bit mask."""
+    return {v for i, v in enumerate(F) if mask >> i & 1}
+
+
+def _kernel(
+    F: Sequence[int],
+    rows: Sequence[int],
+    K: list[int],
+    cand: int,
+    fini: int,
+    emit: Emit,
+    split: Split | None,
+    cutoff: int,
+) -> None:
+    """Pivoted backtracking on the bit masks of a frame; |cand| >= 3.
+
+    Bit i stands for vertex F[i], F ascending, and rows[i] is the mask of
+    Γ(F[i]) in the frame (for a vertex that starts in fini, only its cand
+    part). The pivot is the first bit of cand | fini with the most of cand
+    in its row, and the branches are the bits of cand minus the pivot's row
+    in ascending order, so ties, branches and emissions follow vertex ids
+    exactly as a search over id sets would. A child with at most two
+    candidates is decided in place, as `_task` decides such a task; any
+    other child with at least cutoff candidates asks the split hook first,
+    passing its masks and F.
+    """
+    best = -1
+    m = cand | fini
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        t = (cand & rows[i]).bit_count()
+        if t > best:
+            best, p = t, i
+        m ^= low
+    ext = cand & ~rows[p]
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        i = low.bit_length() - 1
+        row = rows[i]
+        c = cand & row
+        f = fini & row
+        cand ^= low
+        fini |= low
+        K.append(F[i])
+        if not c:
+            if not f:
+                emit(tuple(sorted(K)))
+        elif not c & (c - 1):
+            a = c.bit_length() - 1
+            if not f & rows[a]:
+                emit(tuple(sorted(K + [F[a]])))
+        else:
+            nc = c.bit_count()
+            if nc == 2:
+                a = (c & -c).bit_length() - 1
+                b = c.bit_length() - 1
+                ra = rows[a]
+                if ra >> b & 1:
+                    if not f & ra & rows[b]:
+                        emit(tuple(sorted(K + [F[a], F[b]])))
+                else:
+                    if not f & ra:
+                        emit(tuple(sorted(K + [F[a]])))
+                    if not f & rows[b]:
+                        emit(tuple(sorted(K + [F[b]])))
+            elif split is None or nc < cutoff or not split(K, c, f, F):
+                _kernel(F, rows, K, c, f, emit, split, cutoff)
+        K.pop()
+
+
+def _frame(
+    adj: tuple[frozenset[int], ...], cand: set[int], fini: list[int]
+) -> tuple[list[int], list[int], int, int]:
+    """(F, rows, cand mask, fini mask) of a task whose fini all touch cand.
+
+    F is cand ∪ fini ascending. A fini vertex's row keeps only its cand
+    part, the only part the kernel reads. The bit table is the frame's own.
+    """
+    if fini:
+        S = cand.union(fini)
+        F = sorted(S)
+        get = {v: 1 << i for i, v in enumerate(F)}.__getitem__
+        rows = [sum(map(get, adj[u] & (S if u in cand else cand))) for u in F]
+        fmask = sum(map(get, fini))
+    else:
+        F = sorted(cand)
+        get = {v: 1 << i for i, v in enumerate(F)}.__getitem__
+        rows = [sum(map(get, adj[u] & cand)) for u in F]
+        fmask = 0
+    return F, rows, ((1 << len(F)) - 1) ^ fmask, fmask
+
+
+def _task(
     adj: tuple[frozenset[int], ...],
     K: list[int],
     cand: set[int],
     fini: set[int],
-    emit: Callable[[tuple[int, ...]], None],
-    split: Callable[[list[int], set[int], set[int]], bool] | None = None,
+    emit: Emit,
+    split: Split | None = None,
     cutoff: int = 1,
 ) -> None:
-    """Pivoted backtracking; owns and consumes cand/fini.
+    """Search one task given as id sets: closed forms, else frame and kernel.
 
-    With a split hook, a node with |cand| >= cutoff asks it first; when the
-    hook returns True it has taken the node's subtree away and the node
-    returns without searching it.
+    With a split hook, a task with |cand| >= cutoff asks it first; when the
+    hook returns True it has taken the task away. A task with at most two
+    candidates is decided without a search. Otherwise the fini vertices
+    with no neighbour in cand are dropped: none reaches a descendant's
+    fini, and one can win the pivot only at score 0, where every pivot
+    branches on all of cand.
     """
+    if split is not None and len(cand) >= cutoff and split(K, cand, fini):
+        return
+    if len(cand) <= 2:
+        if not cand:
+            if not fini:
+                emit(tuple(sorted(K)))
+        elif len(cand) == 1:
+            (a,) = cand
+            if fini.isdisjoint(adj[a]):
+                emit(tuple(sorted(K + [a])))
+        else:
+            a, b = sorted(cand)
+            if b in adj[a]:
+                if adj[a].isdisjoint(fini & adj[b]):
+                    emit(tuple(sorted(K + [a, b])))
+            else:
+                for x in (a, b):
+                    if fini.isdisjoint(adj[x]):
+                        emit(tuple(sorted(K + [x])))
+        return
+    F, rows, cmask, fmask = _frame(
+        adj, cand, [w for w in fini if not cand.isdisjoint(adj[w])]
+    )
+    _kernel(F, rows, K, cmask, fmask, emit, split, cutoff)
+
+
+def _search(
+    adj: tuple[frozenset[int], ...],
+    K: list[int],
+    cand: set[int],
+    fini: set[int],
+    emit: Emit,
+    split: Split | None = None,
+    cutoff: int = 1,
+) -> None:
+    """ttt's search of a subproblem given as id sets; consumes cand/fini.
+
+    With K nonempty, cand ∪ fini lies inside Γ(k) for each k in K, so the
+    subproblem runs as one task. Otherwise the root is never framed: it is
+    one incremental branching step on id sets, and each child lies inside
+    Γ(q) of its branch vertex q and runs as a task. So no frame holds more
+    than Δ vertices.
+    """
+    if K:
+        _task(adj, K, cand, fini, emit, split, cutoff)
+        return
     if not cand:
         if not fini:
             emit(tuple(sorted(K)))
@@ -106,9 +270,7 @@ def _ttt(
         fini_q = fini & nq
         cand.remove(q)
         fini.add(q)
-        K.append(q)
-        _ttt(adj, K, cand_q, fini_q, emit, split, cutoff)
-        K.pop()
+        _task(adj, K + [q], cand_q, fini_q, emit, split, cutoff)
 
 
 def ttt(g: Graph, subproblem: Subproblem | None, sink: CliqueSink) -> None:
@@ -117,7 +279,7 @@ def ttt(g: Graph, subproblem: Subproblem | None, sink: CliqueSink) -> None:
     sp.validate(g)
     if sp.is_empty():
         return
-    _ttt(g.adj_sets, sorted(sp.K), set(sp.cand), set(sp.fini), sink.emit)
+    _search(g.adj_sets, sorted(sp.K), set(sp.cand), set(sp.fini), sink.emit)
 
 
 # -- unrolled branching -------------------------------------------------------
@@ -155,9 +317,9 @@ def unrolled_children(
 
 
 def _vertex_child(
-    adj: tuple[frozenset[int], ...], base: Base, values: Sequence[int], v: int
+    adj: tuple[frozenset[int], ...], base: Base, key: Keys, v: int
 ) -> Child:
-    """Child v of base = (K0, cand0, fini0) under the strict order (values[w], w).
+    """Child v of base = (K0, cand0, fini0) under the strict order key.
 
     K0 + (v,), cand = the members of cand0 ∩ Γ(v) after v, and fini =
     (fini0 ∩ Γ(v)) plus the members of cand0 ∩ Γ(v) before v. Built from
@@ -165,11 +327,11 @@ def _vertex_child(
     """
     K0, cand0, fini0 = base
     nv = adj[v]
-    kv = (values[v], v)
+    kv = key[v]
     cand: set[int] = set()
     fini = fini0 & nv
     for w in nv if cand0 is None else nv & cand0:
-        if (values[w], w) > kv:
+        if key[w] > kv:
             cand.add(w)
         else:
             fini.add(w)
@@ -179,7 +341,7 @@ def _vertex_child(
 def _branch_tasks(
     g: Graph, K: tuple[int, ...], cand: frozenset[int], fini: frozenset[int]
 ) -> tuple[list[int], Base, list[int]]:
-    """The root of par_ttt as vertex tasks: (branch vertices, base, values).
+    """The root of par_ttt as vertex tasks: (branch vertices, base, keys).
 
     With ext = cand minus the pivot's neighborhood in ascending id order,
     the order that puts ext first (by id) and the rest of cand after it
@@ -188,41 +350,41 @@ def _branch_tasks(
     """
     pivot = _select_pivot(g.adj_sets, cand, fini)
     ext = sorted(cand - g.adj_sets[pivot])
-    values = [1] * g.n
+    key = list(range(g.n, 2 * g.n))
     for q in ext:
-        values[q] = 0
+        key[q] = q
     # cand None (every vertex) spares each task an intersection with cand.
-    return ext, (K, cand if len(cand) < g.n else None, set(fini)), values
+    return ext, (K, cand if len(cand) < g.n else None, set(fini)), key
 
 
-def _make_task_handler(
-    g: Graph, base: Base, values: Sequence[int], cutoff: int
-) -> Callable:
+def _make_task_handler(g: Graph, base: Base, key: Keys, cutoff: int) -> Callable:
     """Task processor for the forked pool.
 
-    A task is a vertex id v, standing for `_vertex_child(adj, base,
-    values, v)`, which the handler builds; or a (K, cand, fini) triple,
-    a node donated by an earlier task, whose cand and fini sets it
-    consumes. Either runs through the kernel; each node with
-    |cand| >= cutoff checks hungry() once, and only when the shared queue
-    is hungry is it unrolled, at O(Σ deg q) over its branch vertices q,
-    and its children given to spawn as one batch (the pool sends it as a
-    few queue messages). Otherwise the node is searched in place.
+    A task is a vertex id v, standing for `_vertex_child(adj, base, key,
+    v)`, which the handler builds; or a (K, cand, fini) triple, a node
+    donated by an earlier task, whose cand and fini sets it consumes.
+    Either runs as a task of the kernel; the task and each node in it with
+    |cand| >= cutoff check hungry() once, and only when the shared queue
+    is hungry is the node unrolled, at O(Σ deg q) over its branch vertices
+    q, and its children given to spawn as one batch (the pool sends it as
+    a few queue messages). Otherwise the node is searched in place.
     """
     adj = g.adj_sets
 
     def handle(task, emit, spawn, hungry) -> None:
-        def split(K: list[int], cand: set[int], fini: set[int]) -> bool:
+        def split(K: list[int], cand, fini, F: list[int] | None = None) -> bool:
             if not hungry():
                 return False
+            if F is not None:
+                cand, fini = _ids(F, cand), _ids(F, fini)
             spawn(unrolled_children(g, tuple(K), cand, fini))
             return True
 
         if isinstance(task, int):
-            K, cand, fini = _vertex_child(adj, base, values, task)
+            K, cand, fini = _vertex_child(adj, base, key, task)
         else:
             K, cand, fini = task
-        _ttt(adj, list(K), cand, fini, emit, split, cutoff)
+        _task(adj, list(K), cand, fini, emit, split, cutoff)
 
     return handle
 
@@ -245,8 +407,8 @@ def par_ttt(
         ttt(g, sp, sink)
         return
     sp.validate(g)
-    tasks, base, values = _branch_tasks(g, tuple(sorted(sp.K)), sp.cand, sp.fini)
-    handler = _make_task_handler(g, base, values, config.cutoff)
+    tasks, base, key = _branch_tasks(g, tuple(sorted(sp.K)), sp.cand, sp.fini)
+    handler = _make_task_handler(g, base, key, config.cutoff)
     run_task_pool(tasks, handler, config, sink)
 
 
@@ -256,7 +418,10 @@ def par_ttt(
 def subproblem_for_vertex(g: Graph, rank: RankAssignment, v: int) -> Subproblem:
     """The vertex-v decomposition root: K={v}, neighborhood split by rank."""
     g._check_vertex(v)
-    K, cand, fini = _vertex_child(g.adj_sets, ((), None, set()), rank.values, v)
+    adj, values, n = g.adj_sets, rank.values, g.n
+    key = {w: values[w] * n + w for w in adj[v]}
+    key[v] = values[v] * n + v
+    K, cand, fini = _vertex_child(adj, ((), None, set()), key, v)
     return Subproblem(frozenset(K), frozenset(cand), frozenset(fini))
 
 
@@ -277,14 +442,15 @@ def par_mce(
         raise ValueError("rank assignment does not match graph size")
     if g.n == 0:
         return
-    values = rank.values
-    order = sorted(range(g.n), key=lambda v: (values[v], v))
+    values, n = rank.values, g.n
+    key = [values[w] * n + w for w in range(n)]
+    order = sorted(range(n), key=key.__getitem__)
     base: Base = ((), None, set())
     if config.threads == 1:
         adj = g.adj_sets
         for v in order:
-            K, cand, fini = _vertex_child(adj, base, values, v)
-            _ttt(adj, list(K), cand, fini, sink.emit)
+            K, cand, fini = _vertex_child(adj, base, key, v)
+            _task(adj, list(K), cand, fini, sink.emit)
     else:
-        handler = _make_task_handler(g, base, values, config.cutoff)
+        handler = _make_task_handler(g, base, key, config.cutoff)
         run_task_pool(order, handler, config, sink)

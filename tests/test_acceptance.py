@@ -180,7 +180,7 @@ def _machine_parallel_ceiling() -> float:
 def test_08_scaling_sanity():
     with criterion("parallel enumeration time ratio on a >=10s fixture"):
         threads = os.cpu_count() or 2
-        g = P.gen_gnp(1200, 0.2, 42)
+        g = P.gen_gnp(1400, 0.2, 42)
 
         t0 = time.perf_counter()
         base = P.CountingSink()
@@ -201,7 +201,7 @@ def test_08_scaling_sanity():
 
         ceiling = _machine_parallel_ceiling()
         print(
-            f"\nscaling fixture G(1200,0.2,42): m={g.m} cliques={base.count}\n"
+            f"\nscaling fixture G(1400,0.2,42): m={g.m} cliques={base.count}\n"
             f"  ttt ET            = {et_ttt:8.2f}s\n"
             f"  par_mce ET @ 1    = {et_one:8.2f}s  ({et_one / et_ttt:.2f}x ttt)\n"
             f"  par_mce ET @ {threads}    = {et_max:8.2f}s  "

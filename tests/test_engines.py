@@ -2,6 +2,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import parmce as P
+import parmce.engines as engines
 from parmce.engines import _branch_tasks, _make_task_handler, _vertex_child
 
 from util import (
@@ -9,6 +10,7 @@ from util import (
     assert_all_maximal_cliques,
     canonical_run,
     incremental_children,
+    reference_ttt,
     run_engine,
     walk_lockstep,
 )
@@ -146,6 +148,21 @@ class TestLoopUnrolling:
             assert type(cq) is set and type(fq) is set
 
 
+def random_subproblem(g: P.Graph, roles: list[str]) -> P.Subproblem:
+    """A valid (K, cand, fini): K a clique of the "K" vertices met in id
+    order, cand and fini the "cand" and "fini" vertices adjacent to all of K."""
+    adj = g.adj_sets
+    K: list[int] = []
+    for v, r in enumerate(roles):
+        if r == "K" and all(v in adj[k] for k in K):
+            K.append(v)
+    common = set(range(g.n)).difference(K).intersection(*(adj[k] for k in K))
+    cand = frozenset(v for v in common if roles[v] == "cand")
+    fini = frozenset(v for v in common if roles[v] == "fini")
+    return P.Subproblem(frozenset(K), cand, fini)
+
+
+
 class TestVertexTasks:
     """par_ttt's root children are vertex tasks: a worker builds branch
     vertex q's child with _vertex_child, and it must be exactly
@@ -159,26 +176,20 @@ class TestVertexTasks:
     @settings(max_examples=150)
     def test_vertex_children_are_unrolled_children(self, seed, p, roles):
         g = P.gen_gnp(len(roles), p, seed)
-        adj = g.adj_sets
-        K: list[int] = []
-        for v, r in enumerate(roles):
-            if r == "K" and all(v in adj[k] for k in K):
-                K.append(v)
-        common = set(range(g.n)).difference(K).intersection(*(adj[k] for k in K))
-        cand = {v for v in common if roles[v] == "cand"}
-        fini = {v for v in common if roles[v] == "fini"}
-        assume(cand)
-        ext, base, values = _branch_tasks(g, tuple(K), frozenset(cand), frozenset(fini))
-        built = [_vertex_child(adj, base, values, q) for q in ext]
-        assert built == P.unrolled_children(g, tuple(K), cand, fini)
+        sp = random_subproblem(g, roles)
+        assume(sp.cand)
+        K = tuple(sorted(sp.K))
+        ext, base, key = _branch_tasks(g, K, sp.cand, sp.fini)
+        built = [_vertex_child(g.adj_sets, base, key, q) for q in ext]
+        assert built == P.unrolled_children(g, K, set(sp.cand), set(sp.fini))
         for _, cq, fq in built:
             assert type(cq) is set and type(fq) is set
 
     def test_root_children_are_unrolled_children(self):
         for seed in range(3):
             g = P.gen_gnp(40, 0.5, seed)
-            ext, base, values = _branch_tasks(g, (), frozenset(range(g.n)), frozenset())
-            built = [_vertex_child(g.adj_sets, base, values, q) for q in ext]
+            ext, base, key = _branch_tasks(g, (), frozenset(range(g.n)), frozenset())
+            built = [_vertex_child(g.adj_sets, base, key, q) for q in ext]
             assert built == P.unrolled_children(g, (), set(range(g.n)), set())
 
 
@@ -205,6 +216,111 @@ class TestSerialEnginesShareTheKernel:
             assert got.cliques == expected.cliques
 
 
+def stream_and_nodes(search, g: P.Graph, sp: P.Subproblem):
+    """Raw emissions of one search, and its count of nodes with >= 3
+    candidates, taken by a split hook at cutoff 3 that counts and declines."""
+    out: list[tuple[int, ...]] = []
+    nodes = [0]
+
+    def count(K, cand, fini, F=None) -> bool:
+        nodes[0] += 1
+        return False
+
+    search(g.adj_sets, sorted(sp.K), set(sp.cand), set(sp.fini), out.append, count, 3)
+    return out, nodes[0]
+
+
+class TestBitKernel:
+    """The bit-mask kernel against the set kernel it replaced
+    (`util.reference_ttt`): the same raw emission stream, order included,
+    and the same search tree, node for node."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+        st.lists(
+            st.sampled_from(["K", "cand", "cand", "cand", "fini", "out"]), min_size=1, max_size=24
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_stream_and_nodes_as_the_set_kernel(self, seed, p, roles):
+        g = P.gen_gnp(len(roles), p, seed)
+        sp = random_subproblem(g, roles)
+        assume(not sp.is_empty())
+        expected: list[tuple[int, ...]] = []
+        reference_ttt(g.adj_sets, sorted(sp.K), set(sp.cand), set(sp.fini), expected.append)
+        got = CollectSink()
+        P.ttt(g, sp, got)
+        assert got.cliques == expected
+        assert stream_and_nodes(engines._search, g, sp) == stream_and_nodes(reference_ttt, g, sp)
+
+    @pytest.mark.parametrize("n, p", [(60, 0.5), (120, 0.3), (40, 0.8)])
+    def test_same_stream_and_nodes_on_whole_graphs(self, n, p):
+        for seed in range(2):
+            g = P.gen_gnp(n, p, seed)
+            got, nodes = stream_and_nodes(engines._search, g, P.root_subproblem(g))
+            assert (got, nodes) == stream_and_nodes(reference_ttt, g, P.root_subproblem(g))
+            assert nodes > 100
+            assert got == run_engine("ttt", g)
+
+    def test_moon_moser_stream(self):
+        g = P.gen_moon_moser(6)
+        expected: list[tuple[int, ...]] = []
+        reference_ttt(g.adj_sets, [], set(range(g.n)), set(), expected.append)
+        assert run_engine("ttt", g) == expected
+        assert len(expected) == 3**6
+
+
+class TestFrameWidth:
+    """Every frame lies inside one neighbourhood, so none holds more than
+    Δ(g) vertices; the whole graph's root is never framed."""
+
+    G = P.gen_gnp(80, 0.4, 5)
+
+    def gated(self, monkeypatch, bound):
+        widths: list[int] = []
+        frame = engines._frame
+
+        def checked(adj, cand, fini):
+            F, rows, cmask, fmask = frame(adj, cand, fini)
+            assert len(F) <= bound, f"frame of {len(F)} vertices, bound {bound}"
+            widths.append(len(F))
+            return F, rows, cmask, fmask
+
+        monkeypatch.setattr(engines, "_frame", checked)
+        return widths
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("engine", ["ttt", "parttt", "parmce"])
+    def test_no_frame_wider_than_max_degree(self, monkeypatch, engine, threads):
+        delta = max(map(len, self.G.adj_sets))
+        assert delta < self.G.n
+        expected: list[tuple[int, ...]] = []
+        reference_ttt(self.G.adj_sets, [], set(range(self.G.n)), set(), expected.append)
+        widths = self.gated(monkeypatch, delta)
+        got = canonical_run(engine, self.G, threads=threads, cutoff=4)
+        assert got == P.canonical_family(expected)
+        if threads == 1:  # a forked worker's frames are not seen here
+            assert widths and max(widths) <= delta
+
+    def test_vertex_subproblems_are_framed_within_max_degree(self, monkeypatch):
+        # a subproblem with K = {v} is framed whole, inside Γ(v)
+        delta = max(map(len, self.G.adj_sets))
+        widths = self.gated(monkeypatch, delta)
+        rank = P.compute_rank(self.G, "degree")
+        got = CollectSink()
+        for v in range(self.G.n):
+            P.ttt(self.G, P.subproblem_for_vertex(self.G, rank, v), got)
+        assert P.canonical_family(got.cliques) == canonical_run("ttt", self.G)
+        assert widths
+
+    def test_the_gate_reaches_pool_workers(self, monkeypatch):
+        self.gated(monkeypatch, 1)
+        for engine in ("parttt", "parmce"):
+            with pytest.raises(RuntimeError, match="frame of"):
+                run_engine(engine, self.G, threads=2, cutoff=4)
+
+
 class TestSplitPolicy:
     """The pool handler donates a node only when the queue is hungry."""
 
@@ -228,6 +344,29 @@ class TestSplitPolicy:
         root_children = P.unrolled_children(self.G, (), set(range(self.G.n)), set())
         assert spawned == [root_children]
         assert emitted == []
+
+    def test_a_node_inside_the_kernel_is_donated_as_id_sets(self):
+        # hungry at the second ask only: the task itself is searched, and
+        # the first node inside its frame with >= cutoff candidates is taken
+        asks = iter([False, True])
+        spawned, emitted = [], []
+        handle = _make_task_handler(self.G, ((), None, set()), range(self.G.n), 4)
+        handle(((), set(range(self.G.n)), set()), emitted.append, spawned.append,
+               lambda: next(asks, False))
+        # the set kernel, declining the same nodes and taking the same one
+        taken, expected = [], []
+        calls = iter([False, True])
+
+        def split(K, cand, fini):
+            if next(calls, False):
+                taken.append((tuple(K), set(cand), set(fini)))
+                return True
+            return False
+
+        reference_ttt(self.G.adj_sets, [], set(range(self.G.n)), set(), expected.append, split, 4)
+        assert len(taken) == 1 and len(taken[0][0]) > 0
+        assert spawned == [P.unrolled_children(self.G, *taken[0])]
+        assert emitted == expected
 
     def test_cutoff_above_n_never_donates(self):
         spawned, emitted = self.handle_root(cutoff=self.G.n + 1, hungry=True)

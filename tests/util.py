@@ -8,8 +8,10 @@ shared bug can't hide on both sides of a comparison.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable
 
 import parmce as P
+from parmce.pivoting import _select_pivot
 
 
 class CollectSink(P.CliqueSink):
@@ -114,6 +116,42 @@ def reference_load_edge_list(stream) -> P.Graph:
         edges.append((dense(a), dense(b)))
 
     return P.Graph.from_edges(len(labels), edges, labels)
+
+
+def reference_ttt(
+    adj: tuple[frozenset[int], ...],
+    K: list[int],
+    cand: set[int],
+    fini: set[int],
+    emit: Callable[[tuple[int, ...]], None],
+    split: Callable[[list[int], set[int], set[int]], bool] | None = None,
+    cutoff: int = 1,
+) -> None:
+    """The set kernel that preceded the bit-mask one.
+
+    Kept verbatim as the reference for the kernel's differential test:
+    pivoted backtracking; owns and consumes cand/fini.
+
+    With a split hook, a node with |cand| >= cutoff asks it first; when the
+    hook returns True it has taken the node's subtree away and the node
+    returns without searching it.
+    """
+    if not cand:
+        if not fini:
+            emit(tuple(sorted(K)))
+        return
+    if split is not None and len(cand) >= cutoff and split(K, cand, fini):
+        return
+    pivot = _select_pivot(adj, cand, fini)
+    for q in sorted(cand - adj[pivot]):
+        nq = adj[q]
+        cand_q = cand & nq
+        fini_q = fini & nq
+        cand.remove(q)
+        fini.add(q)
+        K.append(q)
+        reference_ttt(adj, K, cand_q, fini_q, emit, split, cutoff)
+        K.pop()
 
 
 def incremental_children(g, K, cand, fini):
