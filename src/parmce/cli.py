@@ -53,6 +53,8 @@ class RunConfig:
             raise ValueError(f"unknown ordering {self.order!r}")
         if self.mode != "list" and (self.canonical or self.original_labels):
             raise ValueError("--canonical and --original-labels apply only to --mode list")
+        if self.sweep and self.algo == "ttt":
+            raise ValueError("--sweep needs a parallel algorithm (parttt or parmce)")
         if self.sweep and self.mode != "count":
             raise ValueError("--sweep reports counts only; it takes no --mode list/histogram")
         if (self.input is None) == (self.gen is None):
@@ -160,7 +162,7 @@ def scaling_sweep(cfg: RunConfig, thread_list: list[int]) -> list[SweepRow]:
         raise ValueError("--sweep needs a parallel algorithm (parttt or parmce)")
     g = load_graph(cfg)
 
-    base = run_on_graph(g, replace(cfg, algo="ttt", order=None, threads=1))
+    base = run_on_graph(g, replace(cfg, algo="ttt", order=None, threads=1, sweep=None))
 
     rows = []
     for t in thread_list:
@@ -231,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
              "dense-id tuples (numerically, not as text)",
     )
     p_run.add_argument("--cutoff", type=int, metavar="N",
-                       help="min cand size for spawning parallel subproblems")
+                       help="min cand size at which a search node may be donated to idle "
+                            "workers (a node inside a task with at most 2 candidates "
+                            "never is)")
     p_run.add_argument("--output", metavar="FILE",
                        help="clique listing (list mode), or the sweep's CSV table "
                             "(without it a sweep only prints the table)")

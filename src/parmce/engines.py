@@ -1,24 +1,26 @@
-"""The three enumeration engines, all running one search kernel.
+"""The three enumeration engines: vertex tasks run through one search kernel.
 
-ttt      - sequential pivoted backtracking. The root step of the whole
-           graph runs on id sets with incremental cand/fini updates, and
-           each of its children is a task for the kernel; a subproblem
-           with a nonempty clique K is one task.
-par_ttt  - the same search on a worker pool. The driver picks the root's
-           pivot, and each of the root's branch vertices q is a vertex
-           task: a worker builds q's child from Γ(q) alone, iteration i of
-           the root's loop explicitly removing the first i-1 branch
-           vertices from cand and adding them to fini, so the root's
-           children are built in parallel and run independently. A worker
-           searches its task with the same kernel; a node with
-           |cand| >= cutoff that it meets while the shared queue is hungry
-           is donated instead, unrolled the same way into (K, cand, fini)
-           triples. At one thread par_ttt is ttt.
-par_mce  - one subproblem per vertex v (clique seed {v}), with v's
-           neighborhood split by a strict total vertex order so each
-           maximal clique is produced exactly once, in the subproblem of
-           its lowest-ranked member; subproblems run through the kernel on
-           the shared pool and may be donated the same way.
+Every engine is a list of vertex tasks over a base (K0, cand0, fini0) and
+a strict vertex order, run by one loop (`_run`): in order at one thread,
+else on the worker pool. Task v stands for child v of the base
+(`_vertex_child`): K0 + (v,), with cand0 ∩ Γ(v) split into the vertices
+after v (cand) and before v (fini, joined by fini0 ∩ Γ(v)). A worker
+builds it from Γ(v) alone.
+
+ttt      - sequential pivoted backtracking; par_ttt at one thread.
+par_ttt  - the same search on a worker pool. The driver takes the root's
+           branching step once (`_branches`): it picks the pivot, and the
+           order puts the branch vertices first, by id, so branch vertex
+           q's vertex child is iteration q of the root's loop, which
+           depends only on the root's own sets and the branch order. A
+           worker searches its task with the kernel; a node with |cand| >=
+           cutoff that it meets while the shared queue is hungry is donated
+           instead, unrolled by the same step into (K, cand, fini) triples.
+           At one thread a subproblem with a nonempty K is one task.
+par_mce  - one vertex task per vertex v of the whole graph (clique seed
+           {v}), ordered by the ranking, so each maximal clique is produced
+           exactly once, in the task of its lowest-ranked member; tasks run
+           costliest-first and may be donated the same way.
 
 The kernel searches a task (K, cand, fini) in a frame: cand ∪ fini in
 ascending id order, bit i for the i-th vertex, and each vertex's
@@ -30,11 +32,6 @@ ids, so the search tree and the order of emissions are those of the
 same search on id sets. Tasks and children with at most two candidates
 are decided in closed form, and finished vertices with no candidate
 neighbour are left out of the frame.
-
-A vertex task of either parallel engine is the same thing: child v of a
-base subproblem under a strict order (`_vertex_child`). For par_mce the
-base is the whole graph and the order is the ranking; for par_ttt it is
-the subproblem searched, ordered with its branch vertices first.
 
 All engines emit the same set of cliques for the same graph; only order
 and scheduling differ.
@@ -55,7 +52,8 @@ Child = tuple[tuple[int, ...], set[int], set[int]]
 # (K0, cand0, fini0) of a family of vertex tasks; cand0 None stands for every
 # vertex of the graph, and fini0 is a set.
 Base = tuple[tuple[int, ...], frozenset[int] | set[int] | None, set[int]]
-# key[w] orders vertices strictly: values[w] * n + w for a ranking's values.
+# key[w] orders each task vertex v strictly against cand0 ∩ Γ(v): values[w] * n
+# + w for a ranking's values, or a branching step's order (`_branches`).
 Keys = Sequence[int] | Mapping[int, int]
 Emit = Callable[[tuple[int, ...]], None]
 # A node's split hook split(K, cand, fini, F=None): True if it took the node
@@ -237,83 +235,7 @@ def _task(
     _kernel(F, rows, K, cmask, fmask, emit, split, cutoff)
 
 
-def _search(
-    adj: tuple[frozenset[int], ...],
-    K: list[int],
-    cand: set[int],
-    fini: set[int],
-    emit: Emit,
-    split: Split | None = None,
-    cutoff: int = 1,
-) -> None:
-    """ttt's search of a subproblem given as id sets; consumes cand/fini.
-
-    With K nonempty, cand ∪ fini lies inside Γ(k) for each k in K, so the
-    subproblem runs as one task. Otherwise the root is never framed: it is
-    one incremental branching step on id sets, and each child lies inside
-    Γ(q) of its branch vertex q and runs as a task. So no frame holds more
-    than Δ vertices.
-    """
-    if K:
-        _task(adj, K, cand, fini, emit, split, cutoff)
-        return
-    if not cand:
-        if not fini:
-            emit(tuple(sorted(K)))
-        return
-    if split is not None and len(cand) >= cutoff and split(K, cand, fini):
-        return
-    pivot = _select_pivot(adj, cand, fini)
-    for q in sorted(cand - adj[pivot]):
-        nq = adj[q]
-        cand_q = cand & nq
-        fini_q = fini & nq
-        cand.remove(q)
-        fini.add(q)
-        _task(adj, K + [q], cand_q, fini_q, emit, split, cutoff)
-
-
-def ttt(g: Graph, subproblem: Subproblem | None, sink: CliqueSink) -> None:
-    """Emit every maximal clique extending the subproblem (default: all of g)."""
-    sp = subproblem if subproblem is not None else root_subproblem(g)
-    sp.validate(g)
-    if sp.is_empty():
-        return
-    _search(g.adj_sets, sorted(sp.K), set(sp.cand), set(sp.fini), sink.emit)
-
-
-# -- unrolled branching -------------------------------------------------------
-
-
-def unrolled_children(
-    g: Graph,
-    K: tuple[int, ...],
-    cand: set[int],
-    fini: set[int],
-) -> list[Child]:
-    """Explicit per-iteration subproblems of one branching step.
-
-    With the branch set ext = cand minus the pivot's neighborhood taken in
-    ascending id order, iteration i (vertex q = ext[i]) gets
-
-        cand_i = (cand ∩ Γ(q)) \\ ext[:i]
-        fini_i = (fini ∩ Γ(q)) ∪ (ext[:i] ∩ Γ(q))
-
-    which depends only on the call's own cand/fini and the fixed ext order,
-    never on sibling iterations. Every set is built from the Γ(q) side, so
-    child i costs O(deg q), not O(|cand|). cand and fini must be `set`s
-    (the children's sets are then fresh `set`s too, which the sequential
-    kernel consumes in place). Requires nonempty cand ∪ fini.
-    """
-    adj = g.adj_sets
-    pivot = _select_pivot(adj, cand, fini)
-    children: list[Child] = []
-    prefix: set[int] = set()
-    for q in sorted(cand - adj[pivot]):
-        nq = adj[q]
-        children.append((K + (q,), (cand & nq) - prefix, (fini & nq) | (prefix & nq)))
-        prefix.add(q)
-    return children
+# -- one branching step as vertex tasks ---------------------------------------
 
 
 def _vertex_child(
@@ -338,23 +260,58 @@ def _vertex_child(
     return K0 + (v,), cand, fini
 
 
-def _branch_tasks(
-    g: Graph, K: tuple[int, ...], cand: frozenset[int], fini: frozenset[int]
-) -> tuple[list[int], Base, list[int]]:
-    """The root of par_ttt as vertex tasks: (branch vertices, base, keys).
+def _branches(
+    adj: tuple[frozenset[int], ...],
+    K: tuple[int, ...],
+    cand: set[int] | frozenset[int],
+    fini: set[int],
+) -> tuple[list[int], Base, Keys]:
+    """One branching step of (K, cand, fini) as vertex tasks: (ext, base, key).
 
-    With ext = cand minus the pivot's neighborhood in ascending id order,
-    the order that puts ext first (by id) and the rest of cand after it
-    makes branch vertex q's vertex child exactly unrolled_children's child
-    for q: (cand ∩ Γ(q)) minus the earlier ext, and fini ∩ Γ(q) plus them.
+    ext is cand minus the pivot's neighbourhood, ascending. Each branch
+    vertex's key is its id and every other candidate's is n, so q's vertex
+    child is iteration q of the branching loop: (cand ∩ Γ(q)) minus the
+    earlier branch vertices, and fini ∩ Γ(q) plus them. It depends only on
+    the step's own sets and the branch order. When cand is every vertex,
+    cand0 is None and the key a list; otherwise the key covers cand only,
+    so after the pivot the step costs O(|cand|) plus O(deg q) per child
+    built. fini must be a set; it is kept in base, not copied or changed.
     """
-    pivot = _select_pivot(g.adj_sets, cand, fini)
-    ext = sorted(cand - g.adj_sets[pivot])
-    key = list(range(g.n, 2 * g.n))
+    n = len(adj)
+    ext = sorted(cand - adj[_select_pivot(adj, cand, fini)])
+    key: list[int] | dict[int, int]
+    if len(cand) == n:
+        cand0, key = None, [n] * n
+    else:
+        cand0, key = cand, dict.fromkeys(cand, n)
     for q in ext:
         key[q] = q
-    # cand None (every vertex) spares each task an intersection with cand.
-    return ext, (K, cand if len(cand) < g.n else None, set(fini)), key
+    return ext, (K, cand0, fini), key
+
+
+def unrolled_children(
+    g: Graph,
+    K: tuple[int, ...],
+    cand: set[int],
+    fini: set[int],
+) -> list[Child]:
+    """Explicit per-iteration subproblems of one branching step.
+
+    With the branch set ext = cand minus the pivot's neighborhood taken in
+    ascending id order, iteration i (vertex q = ext[i]) gets
+
+        cand_i = (cand ∩ Γ(q)) \\ ext[:i]
+        fini_i = (fini ∩ Γ(q)) ∪ (ext[:i] ∩ Γ(q))
+
+    which depends only on the call's own cand/fini and the fixed ext order,
+    never on sibling iterations; child i is q's vertex child of
+    `_branches`, built in O(deg q). cand and fini must be `set`s; they are
+    not changed, and the children's sets are fresh `set`s. Requires
+    nonempty cand ∪ fini.
+    """
+    adj = g.adj_sets
+    ext, base, key = _branches(adj, K, cand, fini)
+    return [_vertex_child(adj, base, key, q) for q in ext]
 
 
 def _make_task_handler(g: Graph, base: Base, key: Keys, cutoff: int) -> Callable:
@@ -365,9 +322,10 @@ def _make_task_handler(g: Graph, base: Base, key: Keys, cutoff: int) -> Callable
     donated by an earlier task, whose cand and fini sets it consumes.
     Either runs as a task of the kernel; the task and each node in it with
     |cand| >= cutoff check hungry() once, and only when the shared queue
-    is hungry is the node unrolled, at O(Σ deg q) over its branch vertices
-    q, and its children given to spawn as one batch (the pool sends it as
-    a few queue messages). Otherwise the node is searched in place.
+    is hungry is the node unrolled, after its pivot at O(|cand| + Σ deg q)
+    over its branch vertices q, and its children given to spawn as one
+    batch (the pool sends it as a few queue messages). Otherwise the node
+    is searched in place.
     """
     adj = g.adj_sets
 
@@ -389,6 +347,37 @@ def _make_task_handler(g: Graph, base: Base, key: Keys, cutoff: int) -> Callable
     return handle
 
 
+def _run(
+    g: Graph,
+    tasks: list[int],
+    base: Base,
+    key: Keys,
+    sink: CliqueSink,
+    config: ParallelConfig,
+) -> None:
+    """Run the vertex tasks of base under key: in order at one thread, where
+    nothing is donated, else on the pool."""
+    if config.threads > 1:
+        run_task_pool(tasks, _make_task_handler(g, base, key, config.cutoff), config, sink)
+        return
+    adj = g.adj_sets
+    for v in tasks:
+        K, cand, fini = _vertex_child(adj, base, key, v)
+        _task(adj, list(K), cand, fini, sink.emit)
+
+
+# -- the engines --------------------------------------------------------------
+
+
+def ttt(g: Graph, subproblem: Subproblem | None, sink: CliqueSink) -> None:
+    """Emit every maximal clique extending the subproblem (default: all of g).
+
+    This is par_ttt at one thread: the root's children run as vertex tasks,
+    in branch order; a subproblem with a nonempty K is one task.
+    """
+    par_ttt(g, subproblem, sink)
+
+
 def par_ttt(
     g: Graph,
     subproblem: Subproblem | None,
@@ -397,19 +386,21 @@ def par_ttt(
 ) -> None:
     """ttt whose subtrees may run on a pool; emits exactly ttt's clique set.
 
-    On the pool the driver picks the subproblem's pivot once and queues its
-    branch vertices, ascending, as vertex tasks; the workers build each
-    child (`_branch_tasks`). A subproblem with empty cand is a leaf of the
-    kernel and runs in place.
+    The driver takes the subproblem's branching step once (`_branches`)
+    and runs each branch vertex, ascending, as a vertex task whose child
+    the worker builds. A subproblem with empty cand is a leaf, decided in
+    place; one with a nonempty K at one thread is one task, framed whole
+    inside Γ(k) for k in K. The whole graph's root is never framed.
     """
     sp = subproblem if subproblem is not None else root_subproblem(g)
-    if config.threads == 1 or not sp.cand:
-        ttt(g, sp, sink)
-        return
     sp.validate(g)
-    tasks, base, key = _branch_tasks(g, tuple(sorted(sp.K)), sp.cand, sp.fini)
-    handler = _make_task_handler(g, base, key, config.cutoff)
-    run_task_pool(tasks, handler, config, sink)
+    if sp.is_empty():
+        return
+    K = sorted(sp.K)
+    if not sp.cand or (K and config.threads == 1):
+        _task(g.adj_sets, K, set(sp.cand), set(sp.fini), sink.emit)
+        return
+    _run(g, *_branches(g.adj_sets, tuple(K), sp.cand, set(sp.fini)), sink, config)
 
 
 # -- per-vertex decomposition -------------------------------------------------
@@ -445,12 +436,4 @@ def par_mce(
     values, n = rank.values, g.n
     key = [values[w] * n + w for w in range(n)]
     order = sorted(range(n), key=key.__getitem__)
-    base: Base = ((), None, set())
-    if config.threads == 1:
-        adj = g.adj_sets
-        for v in order:
-            K, cand, fini = _vertex_child(adj, base, key, v)
-            _task(adj, list(K), cand, fini, sink.emit)
-    else:
-        handler = _make_task_handler(g, base, key, config.cutoff)
-        run_task_pool(order, handler, config, sink)
+    _run(g, order, ((), None, set()), key, sink, config)

@@ -45,10 +45,12 @@ if TYPE_CHECKING:
 class ParallelConfig:
     """Worker budget and the cutoff that gates donating search nodes.
 
-    A search node whose cand has at least `cutoff` vertices asks once, when
-    it is visited, whether the shared queue is hungry; only then is it
-    unrolled into independent child tasks. Every other node is searched in
-    place by the sequential kernel. At one thread nothing is donated.
+    A task, and a search node inside it, whose cand has at least `cutoff`
+    vertices asks once, when it is visited, whether the shared queue is
+    hungry; only then is it unrolled into independent child tasks. Every
+    other node is searched in place by the sequential kernel, and a node
+    inside a task with at most two candidates is decided in closed form
+    without asking, whatever the cutoff. At one thread nothing is donated.
     """
 
     threads: int = 1

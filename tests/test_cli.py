@@ -345,6 +345,14 @@ class TestMainEntry:
         assert "--sweep" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_sweep_of_sequential_algo_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gen", "complete:4", "--algo", "ttt", "--sweep", "1,2"])
+        assert exc.value.code == 2
+        assert "--sweep needs a parallel algorithm" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_sweep_list_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--gen", "complete:4", "--algo", "parmce",

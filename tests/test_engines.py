@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import parmce as P
 import parmce.engines as engines
-from parmce.engines import _branch_tasks, _make_task_handler, _vertex_child
+from parmce.engines import _branches, _make_task_handler, _task, _vertex_child
 
 from util import (
     CollectSink,
@@ -164,9 +164,10 @@ def random_subproblem(g: P.Graph, roles: list[str]) -> P.Subproblem:
 
 
 class TestVertexTasks:
-    """par_ttt's root children are vertex tasks: a worker builds branch
-    vertex q's child with _vertex_child, and it must be exactly
-    unrolled_children's child for q."""
+    """Every branching step runs as vertex tasks: branch vertex q's child,
+    built by _vertex_child from _branches' base and order, must be exactly
+    the child the sequential loop makes with in-place cand/fini updates
+    (`util.incremental_children`)."""
 
     @given(
         st.integers(0, 10_000),
@@ -179,18 +180,19 @@ class TestVertexTasks:
         sp = random_subproblem(g, roles)
         assume(sp.cand)
         K = tuple(sorted(sp.K))
-        ext, base, key = _branch_tasks(g, K, sp.cand, sp.fini)
+        ext, base, key = _branches(g.adj_sets, K, sp.cand, set(sp.fini))
         built = [_vertex_child(g.adj_sets, base, key, q) for q in ext]
-        assert built == P.unrolled_children(g, K, set(sp.cand), set(sp.fini))
+        assert built == incremental_children(g, K, sp.cand, sp.fini)
         for _, cq, fq in built:
             assert type(cq) is set and type(fq) is set
 
     def test_root_children_are_unrolled_children(self):
         for seed in range(3):
             g = P.gen_gnp(40, 0.5, seed)
-            ext, base, key = _branch_tasks(g, (), frozenset(range(g.n)), frozenset())
+            ext, base, key = _branches(g.adj_sets, (), frozenset(range(g.n)), set())
+            assert base[1] is None and type(key) is list
             built = [_vertex_child(g.adj_sets, base, key, q) for q in ext]
-            assert built == P.unrolled_children(g, (), set(range(g.n)), set())
+            assert built == incremental_children(g, (), frozenset(range(g.n)), frozenset())
 
 
 class TestSerialEnginesShareTheKernel:
@@ -214,6 +216,22 @@ class TestSerialEnginesShareTheKernel:
             got = CollectSink()
             P.par_mce(g, rank, got, P.ParallelConfig(threads=1, cutoff=cutoff))
             assert got.cliques == expected.cliques
+
+
+def search_as_vertex_tasks(adj, K, cand, fini, emit, split, cutoff) -> None:
+    """ttt's search with a split hook on every node: a subproblem with a
+    nonempty K (or empty cand) is one task; otherwise the root is a node
+    when it has >= cutoff candidates, as in `reference_ttt`, and each of
+    its branch vertices' children is a task."""
+    if K or not cand:
+        _task(adj, K, cand, fini, emit, split, cutoff)
+        return
+    if len(cand) >= cutoff:
+        split(K, cand, fini)
+    ext, base, key = _branches(adj, (), cand, fini)
+    for q in ext:
+        Kq, cq, fq = _vertex_child(adj, base, key, q)
+        _task(adj, list(Kq), cq, fq, emit, split, cutoff)
 
 
 def stream_and_nodes(search, g: P.Graph, sp: P.Subproblem):
@@ -252,13 +270,13 @@ class TestBitKernel:
         got = CollectSink()
         P.ttt(g, sp, got)
         assert got.cliques == expected
-        assert stream_and_nodes(engines._search, g, sp) == stream_and_nodes(reference_ttt, g, sp)
+        assert stream_and_nodes(search_as_vertex_tasks, g, sp) == stream_and_nodes(reference_ttt, g, sp)
 
     @pytest.mark.parametrize("n, p", [(60, 0.5), (120, 0.3), (40, 0.8)])
     def test_same_stream_and_nodes_on_whole_graphs(self, n, p):
         for seed in range(2):
             g = P.gen_gnp(n, p, seed)
-            got, nodes = stream_and_nodes(engines._search, g, P.root_subproblem(g))
+            got, nodes = stream_and_nodes(search_as_vertex_tasks, g, P.root_subproblem(g))
             assert (got, nodes) == stream_and_nodes(reference_ttt, g, P.root_subproblem(g))
             assert nodes > 100
             assert got == run_engine("ttt", g)
