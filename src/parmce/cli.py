@@ -233,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
              "dense-id tuples (numerically, not as text)",
     )
     p_run.add_argument("--cutoff", type=int, metavar="N",
-                       help="min cand size at which a search node may be donated to idle "
-                            "workers (a node inside a task with at most 2 candidates "
-                            "never is)")
+                       help="min cand size at which a search node may go, as one task, "
+                            "to idle workers (a task's root, or a node inside a task "
+                            "with at most 2 candidates, never does)")
     p_run.add_argument("--output", metavar="FILE",
                        help="clique listing (list mode), or the sweep's CSV table "
                             "(without it a sweep only prints the table)")

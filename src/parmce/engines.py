@@ -1,37 +1,39 @@
-"""The three enumeration engines: vertex tasks run through one search kernel.
+"""The three enumeration engines: tasks run through one handler and one kernel.
 
-Every engine is a list of vertex tasks over a base (K0, cand0, fini0) and
-a strict vertex order, run by one loop (`_run`): in order at one thread,
-else on the worker pool. Task v stands for child v of the base
-(`_vertex_child`): K0 + (v,), with cand0 ∩ Γ(v) split into the vertices
-after v (cand) and before v (fini, joined by fini0 ∩ Γ(v)). A worker
-builds it from Γ(v) alone.
+Every engine is a list of tasks that one loop (`_run`) hands to one
+handler (`_make_task_handler`), in order at one thread, else on the
+worker pool; cliques leave in chunks either way. A task is a (K, cand,
+fini) triple, or a vertex v standing for child v of a base (K0, cand0,
+fini0) under a strict vertex order (`_vertex_child`): K0 + (v,), with
+cand0 ∩ Γ(v) split into the vertices after v (cand) and before v (fini,
+joined by fini0 ∩ Γ(v)). A worker builds it from Γ(v) alone.
 
 ttt      - sequential pivoted backtracking; par_ttt at one thread.
-par_ttt  - the same search on a worker pool. The driver takes the root's
-           branching step once (`_branches`): it picks the pivot, and the
-           order puts the branch vertices first, by id, so branch vertex
-           q's vertex child is iteration q of the root's loop, which
-           depends only on the root's own sets and the branch order. A
-           worker searches its task with the kernel; a node with |cand| >=
-           cutoff that it meets while the shared queue is hungry is donated
-           instead, unrolled by the same step into (K, cand, fini) triples.
-           At one thread a subproblem with a nonempty K is one task.
+par_ttt  - the same search on a worker pool. A subproblem with a
+           nonempty K or an empty cand is one task; for any other the
+           driver takes the branching step once (`_branches`): it picks
+           the pivot, and the order puts the branch vertices first, by
+           id, so branch vertex q's vertex child is iteration q of the
+           loop, which depends only on the step's own sets and the branch
+           order. Neither depends on the thread count.
 par_mce  - one vertex task per vertex v of the whole graph (clique seed
            {v}), ordered by the ranking, so each maximal clique is produced
            exactly once, in the task of its lowest-ranked member; tasks run
-           costliest-first and may be donated the same way.
+           costliest-first.
 
 The kernel searches a task (K, cand, fini) in a frame: cand ∪ fini in
 ascending id order, bit i for the i-th vertex, and each vertex's
 neighbours in the frame as one int bit mask. Every task lies inside one
-Γ(q) (a root child, a vertex task, a donated node's child or a
-subproblem with q in K), so a frame has at most Δ bits; the root of the
-whole graph is never framed. Pivot ties and branch order follow vertex
-ids, so the search tree and the order of emissions are those of the
-same search on id sets. Tasks and children with at most two candidates
-are decided in closed form, and finished vertices with no candidate
-neighbour are left out of the frame.
+Γ(q) (a root child, a vertex task, a donated node or a subproblem with
+q in K), so a frame has at most Δ bits; the root of the whole graph is
+never framed. Pivot ties and branch order follow vertex ids, so the
+search tree and the order of emissions are those of the same search on
+id sets. Tasks and children with at most two candidates are decided in
+closed form, and finished vertices with no candidate neighbour are left
+out of the frame. A worker searches the root of each task it takes; a
+node below it with |cand| >= cutoff, met while the shared queue is
+hungry, is donated as one task, so a donated task's K is longer than its
+donor's. At one thread the queue is never hungry.
 
 All engines emit the same set of cliques for the same graph; only order
 and scheduling differ.
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .graph import Graph
-from .parallel import ParallelConfig, run_task_pool
+from .parallel import ParallelConfig, chunker, run_task_pool
 from .pivoting import _select_pivot
 from .ranking import RankAssignment
 from .sinks import CliqueSink
@@ -52,13 +54,13 @@ Child = tuple[tuple[int, ...], set[int], set[int]]
 # (K0, cand0, fini0) of a family of vertex tasks; cand0 None stands for every
 # vertex of the graph, and fini0 is a set.
 Base = tuple[tuple[int, ...], frozenset[int] | set[int] | None, set[int]]
-# key[w] orders each task vertex v strictly against cand0 ∩ Γ(v): values[w] * n
-# + w for a ranking's values, or a branching step's order (`_branches`).
+# key[w] orders each task vertex v strictly against cand0 ∩ Γ(v): a ranking's
+# `RankAssignment.key`, or a branching step's order (`_branches`).
 Keys = Sequence[int] | Mapping[int, int]
 Emit = Callable[[tuple[int, ...]], None]
-# A node's split hook split(K, cand, fini, F=None): True if it took the node
-# away. cand and fini are id sets, or with F, bit masks over the frame F.
-Split = Callable[..., bool]
+# A node's split hook split(K, cand, fini, F): True if it took the node away;
+# cand and fini are bit masks over the frame F.
+Split = Callable[[list[int], int, int, Sequence[int]], bool]
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def _kernel(
     cand: int,
     fini: int,
     emit: Emit,
-    split: Split | None,
+    split: Split,
     cutoff: int,
 ) -> None:
     """Pivoted backtracking on the bit masks of a frame; |cand| >= 3.
@@ -164,7 +166,7 @@ def _kernel(
                         emit(tuple(sorted(K + [F[a]])))
                     if not f & rows[b]:
                         emit(tuple(sorted(K + [F[b]])))
-            elif split is None or nc < cutoff or not split(K, c, f, F):
+            elif nc < cutoff or not split(K, c, f, F):
                 _kernel(F, rows, K, c, f, emit, split, cutoff)
         K.pop()
 
@@ -197,20 +199,18 @@ def _task(
     cand: set[int],
     fini: set[int],
     emit: Emit,
-    split: Split | None = None,
-    cutoff: int = 1,
+    split: Split,
+    cutoff: int,
 ) -> None:
     """Search one task given as id sets: closed forms, else frame and kernel.
 
-    With a split hook, a task with |cand| >= cutoff asks it first; when the
-    hook returns True it has taken the task away. A task with at most two
+    The task's own root is always searched here; split and cutoff pass to
+    the kernel, which offers the nodes below it. A task with at most two
     candidates is decided without a search. Otherwise the fini vertices
     with no neighbour in cand are dropped: none reaches a descendant's
     fini, and one can win the pivot only at score 0, where every pivot
     branches on all of cand.
     """
-    if split is not None and len(cand) >= cutoff and split(K, cand, fini):
-        return
     if len(cand) <= 2:
         if not cand:
             if not fini:
@@ -314,32 +314,27 @@ def unrolled_children(
     return [_vertex_child(adj, base, key, q) for q in ext]
 
 
-def _make_task_handler(g: Graph, base: Base, key: Keys, cutoff: int) -> Callable:
-    """Task processor for the forked pool.
+def _make_task_handler(g: Graph, base: Base | None, key: Keys, cutoff: int) -> Callable:
+    """The one task processor: the pool's handler, and `_run`'s at one thread.
 
     A task is a vertex id v, standing for `_vertex_child(adj, base, key,
-    v)`, which the handler builds; or a (K, cand, fini) triple, a node
-    donated by an earlier task, whose cand and fini sets it consumes.
-    Either runs as a task of the kernel; the task and each node in it with
-    |cand| >= cutoff check hungry() once, and only when the shared queue
-    is hungry is the node unrolled, after its pivot at O(|cand| + Σ deg q)
-    over its branch vertices q, and its children given to spawn as one
-    batch (the pool sends it as a few queue messages). Otherwise the node
-    is searched in place.
+    v)`, which the handler builds; or a (K, cand, fini) triple, such as a
+    donated node, whose cand and fini sets it consumes. Its root is
+    searched here. A node below it with |cand| >= cutoff checks hungry()
+    once; only when the shared queue is hungry is the node given to spawn,
+    as one triple read off the masks. Otherwise it is searched in place.
     """
     adj = g.adj_sets
 
     def handle(task, emit, spawn, hungry) -> None:
-        def split(K: list[int], cand, fini, F: list[int] | None = None) -> bool:
+        def split(K: list[int], cand: int, fini: int, F: Sequence[int]) -> bool:
             if not hungry():
                 return False
-            if F is not None:
-                cand, fini = _ids(F, cand), _ids(F, fini)
-            spawn(unrolled_children(g, tuple(K), cand, fini))
+            spawn([(tuple(K), _ids(F, cand), _ids(F, fini))])
             return True
 
         if isinstance(task, int):
-            K, cand, fini = _vertex_child(adj, base, key, task)
+            K, cand, fini = _vertex_child(adj, base, key, task)  # type: ignore[arg-type]
         else:
             K, cand, fini = task
         _task(adj, list(K), cand, fini, emit, split, cutoff)
@@ -348,22 +343,20 @@ def _make_task_handler(g: Graph, base: Base, key: Keys, cutoff: int) -> Callable
 
 
 def _run(
-    g: Graph,
-    tasks: list[int],
-    base: Base,
-    key: Keys,
-    sink: CliqueSink,
-    config: ParallelConfig,
+    g: Graph, sink: CliqueSink, config: ParallelConfig,
+    tasks: list, base: Base | None = None, key: Keys = (),
 ) -> None:
-    """Run the vertex tasks of base under key: in order at one thread, where
-    nothing is donated, else on the pool."""
+    """Run tasks (vertex tasks of base under key) through the one handler: in
+    order at one thread, where the queue is never hungry, else on the pool.
+    Either way cliques reach the sink through `chunker`, encode then take."""
+    handle = _make_task_handler(g, base, key, config.cutoff)
     if config.threads > 1:
-        run_task_pool(tasks, _make_task_handler(g, base, key, config.cutoff), config, sink)
+        run_task_pool(tasks, handle, config, sink)
         return
-    adj = g.adj_sets
-    for v in tasks:
-        K, cand, fini = _vertex_child(adj, base, key, v)
-        _task(adj, list(K), cand, fini, sink.emit)
+    emit, flush = chunker(sink, sink.take)
+    for task in tasks:
+        handle(task, emit, None, lambda: False)
+    flush()
 
 
 # -- the engines --------------------------------------------------------------
@@ -386,21 +379,22 @@ def par_ttt(
 ) -> None:
     """ttt whose subtrees may run on a pool; emits exactly ttt's clique set.
 
-    The driver takes the subproblem's branching step once (`_branches`)
-    and runs each branch vertex, ascending, as a vertex task whose child
-    the worker builds. A subproblem with empty cand is a leaf, decided in
-    place; one with a nonempty K at one thread is one task, framed whole
-    inside Γ(k) for k in K. The whole graph's root is never framed.
+    A subproblem with a nonempty K or an empty cand is one task; with a
+    nonempty K it is framed whole inside Γ(k) for k in K. For any other the
+    driver takes the branching step once (`_branches`) and runs each
+    branch vertex, ascending, as a vertex task whose child the worker
+    builds, so the whole graph's root is never framed. The split into
+    tasks is the same at every thread count.
     """
     sp = subproblem if subproblem is not None else root_subproblem(g)
     sp.validate(g)
     if sp.is_empty():
         return
-    K = sorted(sp.K)
-    if not sp.cand or (K and config.threads == 1):
-        _task(g.adj_sets, K, set(sp.cand), set(sp.fini), sink.emit)
+    K = tuple(sorted(sp.K))
+    if K or not sp.cand:
+        _run(g, sink, config, [(K, set(sp.cand), set(sp.fini))])
         return
-    _run(g, *_branches(g.adj_sets, tuple(K), sp.cand, set(sp.fini)), sink, config)
+    _run(g, sink, config, *_branches(g.adj_sets, K, sp.cand, set(sp.fini)))
 
 
 # -- per-vertex decomposition -------------------------------------------------
@@ -409,9 +403,8 @@ def par_ttt(
 def subproblem_for_vertex(g: Graph, rank: RankAssignment, v: int) -> Subproblem:
     """The vertex-v decomposition root: K={v}, neighborhood split by rank."""
     g._check_vertex(v)
-    adj, values, n = g.adj_sets, rank.values, g.n
-    key = {w: values[w] * n + w for w in adj[v]}
-    key[v] = values[v] * n + v
+    adj = g.adj_sets
+    key = {w: rank.key(w) for w in adj[v] | {v}}
     K, cand, fini = _vertex_child(adj, ((), None, set()), key, v)
     return Subproblem(frozenset(K), frozenset(cand), frozenset(fini))
 
@@ -433,7 +426,6 @@ def par_mce(
         raise ValueError("rank assignment does not match graph size")
     if g.n == 0:
         return
-    values, n = rank.values, g.n
-    key = [values[w] * n + w for w in range(n)]
-    order = sorted(range(n), key=key.__getitem__)
-    _run(g, order, ((), None, set()), key, sink, config)
+    key = list(map(rank.key, range(g.n)))
+    order = sorted(range(g.n), key=key.__getitem__)
+    _run(g, sink, config, order, ((), None, set()), key)

@@ -6,26 +6,25 @@ copy-on-write pages instead of receiving a serialized graph.
 
 Scheduling is dynamic: tasks live on one queue, any idle worker takes the
 next message, and a worker searching a big subproblem can donate a node of
-it back to the queue, as independently-computed child subproblems, when
-the queue is running dry; the nodes it keeps it searches itself. Every
-queue message is a batch: a contiguous run of tasks whose size depends
-only on the task count and the worker count, so the initial tasks keep
-their order and a donated set of children leaves as a few messages rather
-than one per child. A shared counter holds the batches queued or running,
-so the worker that finishes the last one knows the work is done and tells
-every worker to stop.
+it back to the queue, as one new task, when the queue is running dry; the
+nodes it keeps it searches itself. Every queue message is a batch: a
+contiguous run of tasks whose size depends only on the task count and the
+worker count, so the initial tasks keep their order and a long spawned
+list leaves as a few messages rather than one per task. A shared counter
+holds the batches queued or running, so the worker that finishes the last
+one knows the work is done and tells every worker to stop.
 
 Workers never share mutable algorithm state; results leave a worker one
-way only. It gathers its cliques in chunks of at most _CHUNK, has the
-sink encode each chunk in the worker (see CliqueSink.encode) and sends
-the payload on its own pipe while it searches; the driver hands each
-payload to the sink's take() as it arrives. A full pipe blocks its
-worker, so a run holds O(_CHUNK * workers) cliques in flight, not the
-whole output. The driver waits in its main thread on those pipes and on
-the workers' process sentinels, so the first task that raises, a failed
-final flush, or a worker that dies, ends the run at once with an error
-instead of a hang. The workers ignore SIGINT; a KeyboardInterrupt in
-the driver terminates them.
+way only. It gathers its cliques in chunks of at most _CHUNK (`chunker`,
+as a one-thread run does), has the sink encode each chunk in the worker
+(see CliqueSink.encode) and sends the payload on its own pipe while it
+searches; the driver hands each payload to the sink's take() as it
+arrives. A full pipe blocks its worker, so a run holds O(_CHUNK *
+workers) cliques in flight, not the whole output. The driver waits in its
+main thread on those pipes and on the workers' process sentinels, so the
+first task that raises, a failed final flush, or a worker that dies, ends
+the run at once with an error instead of a hang. The workers ignore
+SIGINT; a KeyboardInterrupt in the driver terminates them.
 """
 
 from __future__ import annotations
@@ -45,12 +44,12 @@ if TYPE_CHECKING:
 class ParallelConfig:
     """Worker budget and the cutoff that gates donating search nodes.
 
-    A task, and a search node inside it, whose cand has at least `cutoff`
+    A search node below a task's root whose cand has at least `cutoff`
     vertices asks once, when it is visited, whether the shared queue is
-    hungry; only then is it unrolled into independent child tasks. Every
-    other node is searched in place by the sequential kernel, and a node
-    inside a task with at most two candidates is decided in closed form
-    without asking, whatever the cutoff. At one thread nothing is donated.
+    hungry; only then is it donated, whole, as one new task. A task's root
+    is never donated, and a node inside a task with at most two candidates
+    is decided in closed form without asking, whatever the cutoff. Every
+    other node is searched in place. At one thread nothing is donated.
     """
 
     threads: int = 1
@@ -95,6 +94,26 @@ def _batches(tasks: list[Any], workers: int) -> list[list[Any]]:
     return out
 
 
+def chunker(sink: CliqueSink | None, deliver: Callable[[Any], None]) -> tuple[Callable, Callable]:
+    """(emit, flush) that pass each chunk of at most _CHUNK cliques, full or
+    flushed, to deliver as sink.encode(chunk): a pool worker's pipe, or
+    sink.take at one thread. With no sink (None) the cliques are dropped."""
+    chunk: list[tuple[int, ...]] = []
+
+    def flush() -> None:
+        nonlocal chunk
+        if chunk and sink is not None:
+            deliver(sink.encode(chunk))
+        chunk = []
+
+    def emit(clique: tuple[int, ...]) -> None:
+        chunk.append(clique)
+        if len(chunk) == _CHUNK:
+            flush()
+
+    return emit, flush
+
+
 def _worker(
     conn: Any,
     work_q: Any,
@@ -108,19 +127,8 @@ def _worker(
     # It was blocked across the fork, so none slipped in before this line.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    chunk: list[tuple[int, ...]] = []
+    emit, flush = chunker(sink, lambda payload: conn.send(("cliques", payload)))
     hunger_mark = 2 * workers
-
-    def send_chunk() -> None:
-        nonlocal chunk
-        if sink:
-            conn.send(("cliques", sink.encode(chunk)))
-        chunk = []
-
-    def emit(clique: tuple[int, ...]) -> None:
-        chunk.append(clique)
-        if len(chunk) == _CHUNK:
-            send_chunk()
 
     def spawn(tasks: list[Any]) -> None:
         batches = _batches(tasks, workers)
@@ -139,8 +147,7 @@ def _worker(
         batch = work_q.get()
         try:
             if batch is None:
-                if chunk:
-                    send_chunk()
+                flush()
                 conn.send(("done", None))
                 return
             for task in batch:
@@ -195,7 +202,7 @@ def run_task_pool(
     them. A shared counter of queued or running batches tells the workers
     when to stop. Every worker sends sink.encode(chunk) for each chunk of
     at most _CHUNK cliques as it goes, and this thread passes each payload
-    to sink.take(); with no sink (None or False) the cliques are dropped.
+    to sink.take(); with no sink (None, or False) the cliques are dropped.
     This thread waits on the pipes and the workers' sentinels, and the
     first task that raises, or a worker that dies, raises RuntimeError and
     terminates the rest; so does an error raised by the sink, such as a
@@ -204,6 +211,8 @@ def run_task_pool(
     batches = _batches(tasks, config.threads)
     if not batches:
         return
+    if sink is False:
+        sink = None
     ctx = mp.get_context("fork")
     work_q = ctx.Queue()
     pending = ctx.Value("i", len(batches))

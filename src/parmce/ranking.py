@@ -22,9 +22,9 @@ class RankAssignment:
     strategy: str
     values: tuple[int, ...]
 
-    def key(self, v: int) -> tuple[int, int]:
-        """v's place in the strict total order: u precedes v iff key(u) < key(v)."""
-        return (self.values[v], v)
+    def key(self, v: int) -> int:
+        """v's place in the strict order, values[v] * n + v: u precedes v iff key(u) < key(v)."""
+        return self.values[v] * len(self.values) + v
 
 
 def degree_rank(g: Graph) -> RankAssignment:

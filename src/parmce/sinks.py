@@ -1,16 +1,15 @@
 """Clique consumers and the run report.
 
 Sinks receive cliques as ascending tuples of dense ids, as the kernel
-emits them, and never re-sort them. Sequential engines call emit() once
-per clique. On the worker pool every sink gets its results one way: a
-worker passes each chunk of cliques it finds to the sink's encode(), in
-the worker, and sends the result on its pipe while it searches; the
-driver hands each payload to take() as it arrives. By default a sink
-that needs the cliques (`needs_cliques`) gets the tuples, and take()
-emits them; any other sink gets each chunk's size histogram, and take()
-passes it to absorb(). WriterSink formats its lines in the worker
-instead, so the driver only writes them. Every clique reaches a sink
-exactly once; no sink locks.
+emits them, and never re-sort them. Every engine, at every thread count,
+hands a sink its results one way: each chunk of cliques goes to the
+sink's encode() (in the worker, on the pool) and the result to take()
+(in the driver, as it arrives). By default a sink that needs the cliques
+(`needs_cliques`) gets the tuples, and take() emits them; any other sink
+gets each chunk's size histogram, and take() passes it to absorb(), so
+a sink that overrides only emit() must set needs_cliques. WriterSink
+formats its lines in encode() instead, so the driver only writes them.
+Every clique reaches a sink exactly once; no sink locks.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import IO, Any, Callable, Mapping, Sequence
 
 
 class CliqueSink:
-    """Base consumer; subclasses override emit and optionally absorb.
+    """Base consumer; subclasses override emit (with needs_cliques) or absorb.
 
     A sink may also override encode() and take(), as a pair, to choose
     what a pool worker sends for a chunk of cliques.
@@ -100,9 +99,9 @@ class WriterSink(HistogramSink):
     everything and writes the cliques sorted by their dense-id tuples
     (stable golden files across thread budgets and engines).
     use_original_labels translates dense ids back through the load-time
-    label map. On the pool, a worker formats
-    each chunk's lines (encode) and the driver writes them as one block
-    (take); canonical chunks travel as tuples. The first write error (a
+    label map. The engines have each chunk's lines formatted (encode, in
+    the worker on the pool) and written as one block (take); canonical
+    chunks travel as tuples. The first write error (a
     full disk, a reader that closed the pipe) raises from the emit, take
     or finalize that hit it, so the enumeration stops at once instead of
     running on into a dead stream.

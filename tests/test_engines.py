@@ -1,3 +1,5 @@
+from itertools import count
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -220,17 +222,20 @@ class TestSerialEnginesShareTheKernel:
 
 def search_as_vertex_tasks(adj, K, cand, fini, emit, split, cutoff) -> None:
     """ttt's search with a split hook on every node: a subproblem with a
-    nonempty K (or empty cand) is one task; otherwise the root is a node
-    when it has >= cutoff candidates, as in `reference_ttt`, and each of
-    its branch vertices' children is a task."""
+    nonempty K (or empty cand) is one task; otherwise each of its branch
+    vertices' children is a task. The subproblem's root and each task's
+    root are offered to the hook here when they have >= cutoff
+    candidates, as in `reference_ttt`; `_task` offers the nodes below."""
+    if len(cand) >= cutoff:
+        split(K, cand, fini)
     if K or not cand:
         _task(adj, K, cand, fini, emit, split, cutoff)
         return
-    if len(cand) >= cutoff:
-        split(K, cand, fini)
     ext, base, key = _branches(adj, (), cand, fini)
     for q in ext:
         Kq, cq, fq = _vertex_child(adj, base, key, q)
+        if len(cq) >= cutoff:
+            split(list(Kq), cq, fq)
         _task(adj, list(Kq), cq, fq, emit, split, cutoff)
 
 
@@ -340,54 +345,75 @@ class TestFrameWidth:
 
 
 class TestSplitPolicy:
-    """The pool handler donates a node only when the queue is hungry."""
+    """The handler searches every task's root itself, and donates a node
+    below it, as one task, only when the queue is hungry."""
 
     G = P.gen_gnp(40, 0.5, 3)
+    ROOT = ((), frozenset(range(40)), frozenset())
 
-    def handle_root(self, cutoff, hungry):
+    def handle(self, task, cutoff, hungry):
         spawned, emitted = [], []
-        # the root as a donated triple; no vertex task reaches the handler
         handle = _make_task_handler(self.G, ((), None, set()), range(self.G.n), cutoff)
-        root = ((), set(range(self.G.n)), set())
-        handle(root, emitted.append, spawned.append, lambda: hungry)
+        K, cand, fini = task
+        handle((K, set(cand), set(fini)), emitted.append, spawned.append, hungry)
         return spawned, emitted
 
-    def test_not_hungry_searches_in_place(self):
-        spawned, emitted = self.handle_root(cutoff=4, hungry=False)
-        assert spawned == []
-        assert P.canonical_family(emitted) == canonical_run("ttt", self.G)
-
-    def test_hungry_donates_the_root_unrolled(self):
-        spawned, emitted = self.handle_root(cutoff=4, hungry=True)
-        root_children = P.unrolled_children(self.G, (), set(range(self.G.n)), set())
-        assert spawned == [root_children]
-        assert emitted == []
-
-    def test_a_node_inside_the_kernel_is_donated_as_id_sets(self):
-        # hungry at the second ask only: the task itself is searched, and
-        # the first node inside its frame with >= cutoff candidates is taken
-        asks = iter([False, True])
-        spawned, emitted = [], []
-        handle = _make_task_handler(self.G, ((), None, set()), range(self.G.n), 4)
-        handle(((), set(range(self.G.n)), set()), emitted.append, spawned.append,
-               lambda: next(asks, False))
-        # the set kernel, declining the same nodes and taking the same one
+    def reference(self, takes):
+        """reference_ttt on the root, whose hook takes the i-th node it is
+        offered when takes(i) (the root itself is node 0); each taken node
+        as the one-task batch the handler would spawn."""
         taken, expected = [], []
-        calls = iter([False, True])
+        calls = count()
 
         def split(K, cand, fini):
-            if next(calls, False):
-                taken.append((tuple(K), set(cand), set(fini)))
+            if takes(next(calls)):
+                taken.append([(tuple(K), set(cand), set(fini))])
                 return True
             return False
 
         reference_ttt(self.G.adj_sets, [], set(range(self.G.n)), set(), expected.append, split, 4)
-        assert len(taken) == 1 and len(taken[0][0]) > 0
-        assert spawned == [P.unrolled_children(self.G, *taken[0])]
+        return taken, expected
+
+    def test_not_hungry_searches_in_place(self):
+        spawned, emitted = self.handle(self.ROOT, cutoff=4, hungry=lambda: False)
+        assert spawned == []
+        assert P.canonical_family(emitted) == canonical_run("ttt", self.G)
+
+    def test_hungry_searches_the_root_and_donates_each_node_whole(self):
+        spawned, emitted = self.handle(self.ROOT, cutoff=4, hungry=lambda: True)
+        taken, expected = self.reference(lambda i: i > 0)
+        assert spawned == taken
+        assert emitted == expected
+        # the root is searched here, so every donated node is one of its children
+        assert spawned and all(len(K) == 1 for [(K, _, _)] in spawned)
+
+    def test_a_node_inside_the_kernel_is_donated_as_one_triple(self):
+        # hungry at the second ask only: the task's root is never offered,
+        # its first node with >= cutoff candidates is searched, and the next
+        # one, the first node below that, is taken
+        asks = iter([False, True])
+        spawned, emitted = self.handle(self.ROOT, cutoff=4, hungry=lambda: next(asks, False))
+        taken, expected = self.reference(lambda i: i == 2)
+        assert len(taken) == 1 and len(taken[0][0][0]) == 2
+        assert spawned == taken
         assert emitted == expected
 
+    def test_every_donated_task_has_a_longer_K_than_its_donor(self):
+        # always hungry: every task, donated ones too, runs from one stack
+        stack, emitted, donated = [self.ROOT], [], 0
+        while stack:
+            task = stack.pop()
+            spawned, got = self.handle(task, cutoff=3, hungry=lambda: True)
+            for [child] in spawned:
+                assert len(child[0]) > len(task[0])
+                stack.append(child)
+            donated += len(spawned)
+            emitted += got
+        assert donated > 100
+        assert P.canonical_family(emitted) == canonical_run("ttt", self.G)
+
     def test_cutoff_above_n_never_donates(self):
-        spawned, emitted = self.handle_root(cutoff=self.G.n + 1, hungry=True)
+        spawned, emitted = self.handle(self.ROOT, cutoff=self.G.n + 1, hungry=lambda: True)
         assert spawned == []
         assert P.canonical_family(emitted) == canonical_run("ttt", self.G)
 

@@ -199,6 +199,21 @@ class TestStreamedListing:
         assert P.canonical_family(sink.cliques) == canonical_run("ttt", g)
         assert len(set(sink.cliques)) == 3**8
 
+    def test_a_sink_whose_length_is_zero_still_gets_every_clique(self):
+        # a forked sink is empty, so a test of its truth in the worker fails
+        class Sized(CollectSink):
+            def __len__(self):
+                return len(self.cliques)
+
+        g = P.gen_gnp(60, 0.3, 1)
+        expected = canonical_run("ttt", g)
+        assert len(expected) == 442
+        for threads in (1, 2):
+            sink = Sized()
+            with deadline(60):
+                P.par_mce(g, P.degree_rank(g), sink, ParallelConfig(threads=threads))
+            assert P.canonical_family(sink.cliques) == expected, threads
+
     def test_sink_error_in_the_driver_stops_the_workers(self):
         class Fails(CollectSink):
             def take(self, payload):

@@ -1,11 +1,12 @@
 import io
 import json
+from collections import Counter
 
 import pytest
 
 import parmce as P
 
-from util import run_engine
+from util import reference_ttt, run_engine
 
 
 class TestCountingSink:
@@ -172,6 +173,44 @@ class TestCompositeSink:
         P.par_mce(g, P.degree_rank(g), par, P.ParallelConfig(threads=2, cutoff=8))
         assert par.sinks[0].count == seq.count
         assert sum(par.sinks[1].histogram.values()) == seq.count
+
+
+class TestOneResultRoute:
+    """At one thread too, cliques reach a sink only as encode() then take()."""
+
+    def test_a_sink_that_only_absorbs_gets_the_count_from_every_engine(self):
+        class AbsorbOnly(P.CliqueSink):
+            needs_cliques = False
+
+            def __init__(self):
+                self.histogram = Counter()
+
+            def emit(self, clique):
+                raise AssertionError("emit is not a result route")
+
+            def absorb(self, hist):
+                self.histogram.update(hist)
+
+        g = P.gen_gnp(60, 0.3, 1)
+        expected = Counter(map(len, run_engine("ttt", g)))
+        assert sum(expected.values()) == 442
+        cfg = P.ParallelConfig(threads=1)
+        for run in (
+            lambda sink: P.ttt(g, None, sink),
+            lambda sink: P.par_ttt(g, None, sink, cfg),
+            lambda sink: P.par_mce(g, P.degree_rank(g), sink, cfg),
+        ):
+            sink = AbsorbOnly()
+            run(sink)
+            assert sink.histogram == expected
+
+    def test_one_thread_listing_is_the_raw_stream_line_for_line(self):
+        g = P.gen_moon_moser(8)  # 3^8 cliques: several chunks
+        stream: list[tuple[int, ...]] = []
+        reference_ttt(g.adj_sets, [], set(range(g.n)), set(), stream.append)
+        out = io.StringIO()
+        P.ttt(g, None, P.WriterSink(out))
+        assert out.getvalue().splitlines() == [" ".join(map(str, c)) for c in stream]
 
 
 class TestEnumerationReport:
