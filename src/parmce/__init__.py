@@ -24,7 +24,7 @@ from .oracle import (
     gen_moon_moser,
 )
 from .parallel import ParallelConfig
-from .pivoting import PivotScore, par_pivot, pivot_scores, select_pivot
+from .pivoting import par_pivot, select_pivot
 from .ranking import (
     RankAssignment,
     compute_rank,
@@ -50,7 +50,6 @@ __all__ = [
     "Graph",
     "HistogramSink",
     "ParallelConfig",
-    "PivotScore",
     "RankAssignment",
     "Subproblem",
     "WriterSink",
@@ -66,7 +65,6 @@ __all__ = [
     "par_mce",
     "par_pivot",
     "par_ttt",
-    "pivot_scores",
     "read_edge_list",
     "root_subproblem",
     "select_pivot",

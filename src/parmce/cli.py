@@ -60,15 +60,11 @@ class RunConfig:
         if (self.input is None) == (self.gen is None):
             raise ValueError("exactly one of --input / --gen is required")
 
-    @property
-    def effective_order(self) -> str:
-        return self.order if self.order is not None else "degree"
-
 
 def parse_generator_spec(spec: str) -> Graph:
     """moonmoser:k | gnp:n,p[,seed] | complete:n (the gnp seed defaults to 0)"""
     name, _, rest = spec.partition(":")
-    args = [a for a in rest.split(",") if a] if rest else []
+    args = rest.split(",")
     try:
         if name == "moonmoser":
             (k,) = args
@@ -116,7 +112,7 @@ def run_on_graph(
     rank = None
     if cfg.algo == "parmce":
         t0 = time.perf_counter()
-        rank = compute_rank(g, cfg.effective_order)
+        rank = compute_rank(g, cfg.order or "degree")
         rt = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -214,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="enumerate maximal cliques and report",
         argument_default=argparse.SUPPRESS,
     )
+    p_run.set_defaults(parser=p_run)  # for usage errors found past argparse
     src = p_run.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", metavar="FILE", help="edge-list file to load")
     src.add_argument(
@@ -257,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, str | None]:
     """The run's settings, and the --report-json path if one was given."""
     opts = vars(args).copy()
-    del opts["command"]
+    del opts["command"], opts["parser"]
     report_json = opts.pop("report_json", None)
     if "sweep" in opts:
         sweep = [int(t) for t in opts["sweep"].split(",") if t]
@@ -269,11 +266,11 @@ def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, str | None]:
     return RunConfig(**opts), report_json
 
 
-def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg, report_json = _config_from_args(args)
     except ValueError as exc:
-        parser.error(str(exc))  # exits 2
+        args.parser.error(str(exc))  # exits 2
 
     if cfg.sweep:
         rows = scaling_sweep(cfg, cfg.sweep)
@@ -309,12 +306,11 @@ def main(argv: list[str] | None = None) -> int:
     # bare flag usage defaults to the run subcommand
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
         argv.insert(0, "run")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "gen":
             return _cmd_gen(args)
-        return _cmd_run(args, parser)
+        return _cmd_run(args)
     except (EdgeListParseError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -330,7 +330,7 @@ def _make_task_handler(g: Graph, base: Base | None, key: Keys, cutoff: int) -> C
         def split(K: list[int], cand: int, fini: int, F: Sequence[int]) -> bool:
             if not hungry():
                 return False
-            spawn([(tuple(K), _ids(F, cand), _ids(F, fini))])
+            spawn((tuple(K), _ids(F, cand), _ids(F, fini)))
             return True
 
         if isinstance(task, int):

@@ -173,11 +173,6 @@ def read_edge_list(path: str | Path) -> Graph:
         return load_edge_list(f)
 
 
-def edge_list_lines(g: Graph) -> list[str]:
-    """Canonical serialization: "u v" with u < v in dense ids, ascending."""
-    return [f"{u} {v}" for u, v in g.edges()]
-
-
 def write_edge_list(g: Graph, out: IO[str]) -> None:
-    """Write `edge_list_lines(g)`, one per line, without building the list."""
+    """Canonical serialization: "u v" per line, u < v in dense ids, ascending."""
     out.writelines(f"{u} {v}\n" for u, v in g.edges())

@@ -7,12 +7,12 @@ copy-on-write pages instead of receiving a serialized graph.
 Scheduling is dynamic: tasks live on one queue, any idle worker takes the
 next message, and a worker searching a big subproblem can donate a node of
 it back to the queue, as one new task, when the queue is running dry; the
-nodes it keeps it searches itself. Every queue message is a batch: a
-contiguous run of tasks whose size depends only on the task count and the
-worker count, so the initial tasks keep their order and a long spawned
-list leaves as a few messages rather than one per task. A shared counter
-holds the batches queued or running, so the worker that finishes the last
-one knows the work is done and tells every worker to stop.
+nodes it keeps it searches itself. Every queue message is a batch: the
+initial tasks go out as contiguous runs whose sizes depend only on the
+task count and the worker count, so they keep their order, and each
+donated task goes out alone. A shared counter holds the batches queued or
+running, so the worker that finishes the last one knows the work is done
+and tells every worker to stop.
 
 Workers never share mutable algorithm state; results leave a worker one
 way only. It gathers its cliques in chunks of at most _CHUNK (`chunker`,
@@ -130,12 +130,10 @@ def _worker(
     emit, flush = chunker(sink, lambda payload: conn.send(("cliques", payload)))
     hunger_mark = 2 * workers
 
-    def spawn(tasks: list[Any]) -> None:
-        batches = _batches(tasks, workers)
+    def spawn(task: Any) -> None:
         with pending.get_lock():
-            pending.value += len(batches)
-        for batch in batches:
-            work_q.put(batch)
+            pending.value += 1
+        work_q.put([task])
 
     def hungry() -> bool:
         try:
@@ -197,16 +195,16 @@ def run_task_pool(
 ) -> None:
     """Run tasks on `config.threads` forked workers; deliver their results.
 
-    `handler(task, emit, spawn, hungry)` may pass a list of follow-up tasks
-    to spawn, and hungry() reports whether the shared queue wants more of
-    them. A shared counter of queued or running batches tells the workers
-    when to stop. Every worker sends sink.encode(chunk) for each chunk of
-    at most _CHUNK cliques as it goes, and this thread passes each payload
-    to sink.take(); with no sink (None, or False) the cliques are dropped.
-    This thread waits on the pipes and the workers' sentinels, and the
-    first task that raises, or a worker that dies, raises RuntimeError and
-    terminates the rest; so does an error raised by the sink, such as a
-    failed write.
+    `handler(task, emit, spawn, hungry)` may pass a follow-up task to
+    spawn, which queues it as a batch of its own, and hungry() reports
+    whether the shared queue wants more of them. A shared counter of
+    queued or running batches tells the workers when to stop. Every worker
+    sends sink.encode(chunk) for each chunk of at most _CHUNK cliques as it
+    goes, and this thread passes each payload to sink.take(); with no sink
+    (None, or False) the cliques are dropped. This thread waits on the
+    pipes and the workers' sentinels, and the first task that raises, or a
+    worker that dies, raises RuntimeError and terminates the rest; so does
+    an error raised by the sink, such as a failed write.
     """
     batches = _batches(tasks, config.threads)
     if not batches:

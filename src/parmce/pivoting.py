@@ -7,24 +7,15 @@ return bit-identical pivots and every engine is deterministic.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import chain
 
 from .graph import Graph
-
-
-class PivotScore(NamedTuple):
-    vertex: int
-    t_w: int
 
 
 def _select_pivot(adj: tuple[frozenset[int], ...], cand, fini) -> int:
     best_t = -1
     best_v = -1
-    for w in cand:
-        t = len(cand & adj[w])
-        if t > best_t or (t == best_t and w < best_v):
-            best_t, best_v = t, w
-    for w in fini:
+    for w in chain(cand, fini):
         t = len(cand & adj[w])
         if t > best_t or (t == best_t and w < best_v):
             best_t, best_v = t, w
@@ -38,14 +29,6 @@ def select_pivot(g: Graph, cand: set[int] | frozenset[int], fini: set[int] | fro
     return _select_pivot(g.adj_sets, cand, fini)
 
 
-def pivot_scores(g: Graph, cand, fini) -> list[PivotScore]:
-    """Independent per-vertex coverage scores; order follows cand then fini."""
-    adj = g.adj_sets
-    return [PivotScore(w, len(cand & adj[w])) for w in cand] + [
-        PivotScore(w, len(cand & adj[w])) for w in fini
-    ]
-
-
 def par_pivot(g: Graph, cand, fini) -> int:
     """Pivot via independent score computation and an associative reduction.
 
@@ -54,10 +37,10 @@ def par_pivot(g: Graph, cand, fini) -> int:
     associative and commutative, as a balanced pairwise tree. Must return
     exactly select_pivot's answer.
     """
-    scores = pivot_scores(g, cand, fini)
-    if not scores:
+    adj = g.adj_sets
+    keyed = [(len(cand & adj[w]), -w) for w in chain(cand, fini)]
+    if not keyed:
         raise ValueError("pivot undefined: cand and fini are both empty")
-    keyed = [(t, -w) for w, t in scores]
     while len(keyed) > 1:
         keyed = [
             max(keyed[i], keyed[i + 1]) if i + 1 < len(keyed) else keyed[i]

@@ -4,12 +4,12 @@ Sinks receive cliques as ascending tuples of dense ids, as the kernel
 emits them, and never re-sort them. Every engine, at every thread count,
 hands a sink its results one way: each chunk of cliques goes to the
 sink's encode() (in the worker, on the pool) and the result to take()
-(in the driver, as it arrives). By default a sink that needs the cliques
-(`needs_cliques`) gets the tuples, and take() emits them; any other sink
-gets each chunk's size histogram, and take() passes it to absorb(), so
-a sink that overrides only emit() must set needs_cliques. WriterSink
-formats its lines in encode() instead, so the driver only writes them.
-Every clique reaches a sink exactly once; no sink locks.
+(in the driver, as it arrives). By default the chunk travels as its
+tuples and take() emits each one, so a sink overrides emit(), or
+encode() and take() as a pair. HistogramSink ships each chunk's size
+counts instead, and WriterSink its formatted lines, so the driver only
+merges or writes them. Every clique reaches a sink exactly once; no sink
+locks.
 """
 
 from __future__ import annotations
@@ -17,52 +17,38 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import IO, Any, Callable, Mapping, Sequence
+from typing import IO, Any, Callable, Sequence
 
 
 class CliqueSink:
-    """Base consumer; subclasses override emit (with needs_cliques) or absorb.
-
-    A sink may also override encode() and take(), as a pair, to choose
-    what a pool worker sends for a chunk of cliques.
-    """
-
-    needs_cliques = False
+    """Base consumer: override emit(), or encode() and take() as a pair."""
 
     def emit(self, clique: tuple[int, ...]) -> None:
         raise NotImplementedError
 
-    def absorb(self, hist: Mapping[int, int]) -> None:
-        """Merge a pre-aggregated size histogram; its total is the count."""
-        raise NotImplementedError
-
     def encode(self, cliques: list[tuple[int, ...]]) -> Any:
-        """Worker side: the picklable payload that stands for `cliques`.
-
-        The cliques themselves if the sink needs them, else their size
-        histogram.
-        """
-        if self.needs_cliques:
-            return cliques
-        return Counter(map(len, cliques))
+        """Worker side: the picklable payload that stands for `cliques`;
+        by default the cliques themselves."""
+        return cliques
 
     def take(self, payload: Any) -> None:
-        """Driver side: consume one payload made by encode().
-
-        Emits each clique if the sink needs them, else absorbs the histogram.
-        """
-        if self.needs_cliques:
-            for clique in payload:
-                self.emit(clique)
-        else:
-            self.absorb(payload)
+        """Driver side: consume one payload made by encode(); by default
+        emit each clique."""
+        for clique in payload:
+            self.emit(clique)
 
     def finalize(self) -> None:
         pass
 
 
 class HistogramSink(CliqueSink):
-    """Size -> frequency of emitted cliques; its total is the count."""
+    """Size -> frequency of emitted cliques; its total is the count.
+
+    A chunk travels as its size Counter, which take() merges. A subclass
+    that overrides emit() sets needs_cliques to be sent the tuples instead.
+    """
+
+    needs_cliques = False
 
     def __init__(self) -> None:
         self.histogram: Counter[int] = Counter()
@@ -70,8 +56,16 @@ class HistogramSink(CliqueSink):
     def emit(self, clique: tuple[int, ...]) -> None:
         self.histogram[len(clique)] += 1
 
-    def absorb(self, hist: Mapping[int, int]) -> None:
-        self.histogram.update(hist)
+    def encode(self, cliques: list[tuple[int, ...]]) -> Any:
+        if self.needs_cliques:
+            return cliques
+        return Counter(map(len, cliques))
+
+    def take(self, payload: Any) -> None:
+        if self.needs_cliques:
+            super().take(payload)
+        else:
+            self.histogram.update(payload)
 
     @property
     def count(self) -> int:
@@ -150,7 +144,7 @@ class WriterSink(HistogramSink):
             return
         text, sizes = payload
         self.out.write(text)
-        self.absorb(sizes)
+        self.histogram.update(sizes)
 
     def finalize(self) -> None:
         if self.canonical:
@@ -164,17 +158,9 @@ class CompositeSink(CliqueSink):
     def __init__(self, sinks: Sequence[CliqueSink]) -> None:
         self.sinks = list(sinks)
 
-    @property
-    def needs_cliques(self) -> bool:  # type: ignore[override]
-        return any(s.needs_cliques for s in self.sinks)
-
     def emit(self, clique: tuple[int, ...]) -> None:
         for s in self.sinks:
             s.emit(clique)
-
-    def absorb(self, hist: Mapping[int, int]) -> None:
-        for s in self.sinks:
-            s.absorb(hist)
 
     def finalize(self) -> None:
         for s in self.sinks:

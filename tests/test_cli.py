@@ -72,7 +72,9 @@ class TestGeneratorSpec:
         assert parse_generator_spec("gnp:20,0.5") == P.gen_gnp(20, 0.5, 0)
 
     @pytest.mark.parametrize(
-        "spec", ["", "mm:3", "moonmoser:", "moonmoser:x", "gnp:10", "complete:1,2"]
+        "spec",
+        ["", "mm:3", "moonmoser:", "moonmoser:x", "gnp:10", "complete:1,2",
+         "gnp:10,,0.5", "gnp:10,0.5,", "complete:,5"],
     )
     def test_bad_specs(self, spec):
         with pytest.raises(ValueError):
@@ -297,6 +299,14 @@ class TestMainEntry:
             main(["run", "--gen", "complete:4", "--algo", "ttt", flag, "0"])
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    def test_config_error_prints_the_run_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gen", "complete:3", "--cutoff", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: parmce run ")
+        assert "parmce run: error: cutoff must be >= 1" in err
 
     def test_missing_source_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -361,13 +361,13 @@ class TestSplitPolicy:
     def reference(self, takes):
         """reference_ttt on the root, whose hook takes the i-th node it is
         offered when takes(i) (the root itself is node 0); each taken node
-        as the one-task batch the handler would spawn."""
+        as the (K, cand, fini) task the handler would spawn."""
         taken, expected = [], []
         calls = count()
 
         def split(K, cand, fini):
             if takes(next(calls)):
-                taken.append([(tuple(K), set(cand), set(fini))])
+                taken.append((tuple(K), set(cand), set(fini)))
                 return True
             return False
 
@@ -385,7 +385,7 @@ class TestSplitPolicy:
         assert spawned == taken
         assert emitted == expected
         # the root is searched here, so every donated node is one of its children
-        assert spawned and all(len(K) == 1 for [(K, _, _)] in spawned)
+        assert spawned and all(len(K) == 1 for K, _, _ in spawned)
 
     def test_a_node_inside_the_kernel_is_donated_as_one_triple(self):
         # hungry at the second ask only: the task's root is never offered,
@@ -394,7 +394,7 @@ class TestSplitPolicy:
         asks = iter([False, True])
         spawned, emitted = self.handle(self.ROOT, cutoff=4, hungry=lambda: next(asks, False))
         taken, expected = self.reference(lambda i: i == 2)
-        assert len(taken) == 1 and len(taken[0][0][0]) == 2
+        assert len(taken) == 1 and len(taken[0][0]) == 2
         assert spawned == taken
         assert emitted == expected
 
@@ -404,7 +404,7 @@ class TestSplitPolicy:
         while stack:
             task = stack.pop()
             spawned, got = self.handle(task, cutoff=3, hungry=lambda: True)
-            for [child] in spawned:
+            for child in spawned:
                 assert len(child[0]) > len(task[0])
                 stack.append(child)
             donated += len(spawned)

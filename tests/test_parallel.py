@@ -1,4 +1,4 @@
-"""The forked task pool: batched messages, spawned batches, streamed
+"""The forked task pool: batched messages, spawned tasks, streamed
 listings and counts, failures and Ctrl-C.
 
 Each test that could hang on a pool defect runs under a deadline, so a
@@ -41,7 +41,8 @@ def emit_task(task, emit, spawn, hungry):
 
 def spawn_leaves(task, emit, spawn, hungry):
     if task[0] == "root":
-        spawn([("leaf", i) for i in range(task[1])])
+        for i in range(task[1]):
+            spawn(("leaf", i))
     else:
         emit((task[1],))
 
@@ -105,7 +106,8 @@ class TestBatchedPool:
         def handler(task, emit, spawn, hungry):
             depth, i = task
             if depth < 4:
-                spawn([(depth + 1, 8 * i + j) for j in range(8)])
+                for j in range(8):
+                    spawn((depth + 1, 8 * i + j))
             else:
                 emit((i,))
 
@@ -127,8 +129,6 @@ class TestBatchedPool:
 
 class PayloadLog(P.CliqueSink):
     """Records what each worker sends for a chunk, tagged with its pid."""
-
-    needs_cliques = True
 
     def __init__(self):
         self.payloads = []

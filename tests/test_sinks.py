@@ -6,7 +6,7 @@ import pytest
 
 import parmce as P
 
-from util import reference_ttt, run_engine
+from util import CollectSink, reference_ttt, run_engine
 
 
 class TestCountingSink:
@@ -25,12 +25,14 @@ class TestCountingSink:
         assert s.count == 27
 
     def test_absorb(self):
+        # a pool worker sends a HistogramSink each chunk's size counts
         s = P.CountingSink()
-        s.absorb({2: 3, 3: 2})
-        s.absorb({2: 2})
+        s.take(Counter({2: 3, 3: 2}))
+        s.take(Counter({2: 2}))
         assert s.count == 7
-        s.absorb({})
+        s.take(Counter())
         assert s.count == 7
+        assert s.encode([(0, 1), (1, 2, 3)]) == Counter({2: 1, 3: 1})
 
 
 class TestHistogramSink:
@@ -55,7 +57,7 @@ class TestHistogramSink:
 
     def test_fractional_average(self):
         s = P.HistogramSink()
-        s.absorb({2: 1, 3: 1})
+        s.take(Counter({2: 1, 3: 1}))
         assert s.count == 2
         assert s.avg_size == 2.5
 
@@ -154,18 +156,13 @@ class TestCompositeSink:
         hist = P.HistogramSink()
         out = io.StringIO()
         combo = P.CompositeSink([count, hist, P.WriterSink(out)])
-        assert combo.needs_cliques
         P.ttt(P.gen_moon_moser(2), None, combo)
         combo.finalize()
         assert count.count == 9
         assert dict(hist.histogram) == {2: 9}
         assert len(out.getvalue().splitlines()) == 9
 
-    def test_needs_cliques_false_for_stats_only(self):
-        combo = P.CompositeSink([P.CountingSink(), P.HistogramSink()])
-        assert not combo.needs_cliques
-
-    def test_absorb_path_matches_sequential_count(self):
+    def test_pool_run_matches_sequential_count(self):
         g = P.gen_gnp(60, 0.3, 4)
         seq = P.CountingSink()
         P.ttt(g, None, seq)
@@ -178,18 +175,19 @@ class TestCompositeSink:
 class TestOneResultRoute:
     """At one thread too, cliques reach a sink only as encode() then take()."""
 
-    def test_a_sink_that_only_absorbs_gets_the_count_from_every_engine(self):
-        class AbsorbOnly(P.CliqueSink):
-            needs_cliques = False
-
+    def test_a_sink_that_only_encodes_and_takes_gets_the_count_from_every_engine(self):
+        class SizesOnly(P.CliqueSink):
             def __init__(self):
                 self.histogram = Counter()
 
             def emit(self, clique):
                 raise AssertionError("emit is not a result route")
 
-            def absorb(self, hist):
-                self.histogram.update(hist)
+            def encode(self, cliques):
+                return Counter(map(len, cliques))
+
+            def take(self, payload):
+                self.histogram.update(payload)
 
         g = P.gen_gnp(60, 0.3, 1)
         expected = Counter(map(len, run_engine("ttt", g)))
@@ -200,9 +198,24 @@ class TestOneResultRoute:
             lambda sink: P.par_ttt(g, None, sink, cfg),
             lambda sink: P.par_mce(g, P.degree_rank(g), sink, cfg),
         ):
-            sink = AbsorbOnly()
+            sink = SizesOnly()
             run(sink)
             assert sink.histogram == expected
+
+    def test_a_sink_that_only_emits_gets_every_clique_from_every_engine(self):
+        # CollectSink overrides emit alone and sets no flag
+        g = P.gen_gnp(60, 0.3, 1)
+        expected = P.canonical_family(run_engine("ttt", g))
+        assert len(expected) == 442
+        runs = [lambda sink: P.ttt(g, None, sink)]
+        for cfg in (P.ParallelConfig(threads=1), P.ParallelConfig(threads=2)):
+            runs.append(lambda sink, cfg=cfg: P.par_ttt(g, None, sink, cfg))
+            runs.append(lambda sink, cfg=cfg: P.par_mce(g, P.degree_rank(g), sink, cfg))
+        for run in runs:
+            sink = CollectSink()
+            run(sink)
+            assert len(sink.cliques) == 442
+            assert P.canonical_family(sink.cliques) == expected
 
     def test_one_thread_listing_is_the_raw_stream_line_for_line(self):
         g = P.gen_moon_moser(8)  # 3^8 cliques: several chunks

@@ -15,8 +15,6 @@ from parmce.pivoting import _select_pivot
 
 
 class CollectSink(P.CliqueSink):
-    needs_cliques = True
-
     def __init__(self) -> None:
         self.cliques: list[tuple[int, ...]] = []
 
