@@ -257,8 +257,11 @@ def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, str | None]:
     del opts["command"], opts["parser"]
     report_json = opts.pop("report_json", None)
     if "sweep" in opts:
-        sweep = [int(t) for t in opts["sweep"].split(",") if t]
-        if not sweep or any(t < 1 for t in sweep):
+        try:
+            sweep = [int(t) for t in opts["sweep"].split(",")]
+        except ValueError:
+            sweep = []
+        if not sweep or min(sweep) < 1:
             raise ValueError(f"bad sweep list {opts['sweep']!r}")
         if report_json:
             raise ValueError("--sweep writes a CSV table; it takes no --report-json")

@@ -15,7 +15,10 @@ par_ttt  - the same search on a worker pool. A subproblem with a
            the pivot, and the order puts the branch vertices first, by
            id, so branch vertex q's vertex child is iteration q of the
            loop, which depends only on the step's own sets and the branch
-           order. Neither depends on the thread count.
+           order. Neither depends on the thread count. On the whole graph
+           every pivot score is a degree, so the step reads the pivot off
+           the degree table and builds the order from Γ(pivot), in
+           O(n + Δ) instead of an O(m) scan.
 par_mce  - one vertex task per vertex v of the whole graph (clique seed
            {v}), ordered by the ranking, so each maximal clique is produced
            exactly once, in the task of its lowest-ranked member; tasks run
@@ -263,7 +266,7 @@ def _vertex_child(
 def _branches(
     adj: tuple[frozenset[int], ...],
     K: tuple[int, ...],
-    cand: set[int] | frozenset[int],
+    cand: set[int] | frozenset[int] | range,
     fini: set[int],
 ) -> tuple[list[int], Base, Keys]:
     """One branching step of (K, cand, fini) as vertex tasks: (ext, base, key).
@@ -272,21 +275,29 @@ def _branches(
     vertex's key is its id and every other candidate's is n, so q's vertex
     child is iteration q of the branching loop: (cand ∩ Γ(q)) minus the
     earlier branch vertices, and fini ∩ Γ(q) plus them. It depends only on
-    the step's own sets and the branch order. When cand is every vertex,
-    cand0 is None and the key a list; otherwise the key covers cand only,
-    so after the pivot the step costs O(|cand|) plus O(deg q) per child
-    built. fini must be a set; it is kept in base, not copied or changed.
+    the step's own sets and the branch order. When cand is every vertex
+    (n distinct ids, such as range(n)), fini is empty, so each pivot score
+    |cand ∩ Γ(w)| is deg(w): the pivot is the first vertex of largest
+    degree, read off the degree table, the order is built from Γ(pivot)
+    alone, cand0 is None and the key a list, all in O(n + Δ). Otherwise
+    the pivot is scanned and the key covers cand only, so after the pivot
+    the step costs O(|cand|). Either way a child costs O(deg q) to build.
+    fini must be a set; it is kept in base, not copied or changed.
     """
     n = len(adj)
-    ext = sorted(cand - adj[_select_pivot(adj, cand, fini)])
     key: list[int] | dict[int, int]
     if len(cand) == n:
-        cand0, key = None, [n] * n
-    else:
-        cand0, key = cand, dict.fromkeys(cand, n)
+        degrees = list(map(len, adj))
+        key = list(range(n))
+        for w in adj[degrees.index(max(degrees))]:
+            key[w] = n
+        # the branch vertices are those that kept their ids as keys
+        return list(filter(n.__gt__, key)), (K, None, fini), key
+    ext = sorted(cand - adj[_select_pivot(adj, cand, fini)])
+    key = dict.fromkeys(cand, n)
     for q in ext:
         key[q] = q
-    return ext, (K, cand0, fini), key
+    return ext, (K, cand, fini), key
 
 
 def unrolled_children(
@@ -384,9 +395,14 @@ def par_ttt(
     driver takes the branching step once (`_branches`) and runs each
     branch vertex, ascending, as a vertex task whose child the worker
     builds, so the whole graph's root is never framed. The split into
-    tasks is the same at every thread count.
+    tasks is the same at every thread count. The default, the whole graph,
+    goes straight to that step; a subproblem passed in is validated first.
     """
-    sp = subproblem if subproblem is not None else root_subproblem(g)
+    if subproblem is None:
+        if g.n:
+            _run(g, sink, config, *_branches(g.adj_sets, (), range(g.n), set()))
+        return
+    sp = subproblem
     sp.validate(g)
     if sp.is_empty():
         return

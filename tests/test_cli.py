@@ -369,6 +369,19 @@ class TestMainEntry:
                   "--sweep", "1,0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("sweep", ["1,,2", "1,2,", ",", "0,1", "x"])
+    def test_sweep_list_with_an_empty_or_bad_field_is_usage_error(
+        self, sweep, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gen", "complete:4", "--algo", "parmce",
+                  "--sweep", sweep])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: bad sweep list {sweep!r}" in captured.err
+        assert captured.out == ""
+
     def test_list_mode_to_stdout_reports_on_stderr(self, capsys):
         assert main(["run", "--gen", "complete:3", "--algo", "ttt",
                      "--mode", "list"]) == 0

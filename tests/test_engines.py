@@ -63,6 +63,36 @@ class TestTTT:
 
 
 class TestParTTT:
+    @pytest.mark.parametrize(
+        "g", [P.gen_gnp(50, p, seed) for p, seed in ((0.3, 0), (0.5, 1), (0.7, 2))]
+        + [P.gen_moon_moser(4)],
+    )
+    def test_default_root_stream_is_explicit_root_stream(self, g):
+        # None takes the branching step straight off the whole graph; an
+        # explicit root is validated first, and must then split the same way
+        for cutoff in (1, 16):
+            cfg = P.ParallelConfig(threads=1, cutoff=cutoff)
+            default, explicit = CollectSink(), CollectSink()
+            P.par_ttt(g, None, default, cfg)
+            P.par_ttt(g, P.root_subproblem(g), explicit, cfg)
+            assert default.cliques == explicit.cliques
+            assert default.cliques
+
+    @pytest.mark.parametrize(
+        "sp",
+        [
+            P.Subproblem(frozenset({0, 2}), frozenset({1}), frozenset()),  # K not a clique
+            P.Subproblem(frozenset(), frozenset({0, 1}), frozenset({1})),  # not disjoint
+            P.Subproblem(frozenset({0}), frozenset({1}), frozenset({2})),  # 2 not by 0
+        ],
+    )
+    def test_caller_subproblem_is_validated(self, sp):
+        for engine in (P.ttt, P.par_ttt):
+            sink = CollectSink()
+            with pytest.raises(ValueError):
+                engine(PATH3, sp, sink)
+            assert sink.cliques == []
+
     def test_moon_moser_2(self):
         fam = canonical_run("parttt", P.gen_moon_moser(2), threads=2, cutoff=2)
         assert len(fam) == 9
@@ -189,12 +219,23 @@ class TestVertexTasks:
             assert type(cq) is set and type(fq) is set
 
     def test_root_children_are_unrolled_children(self):
-        for seed in range(3):
-            g = P.gen_gnp(40, 0.5, seed)
-            ext, base, key = _branches(g.adj_sets, (), frozenset(range(g.n)), set())
-            assert base[1] is None and type(key) is list
-            built = [_vertex_child(g.adj_sets, base, key, q) for q in ext]
-            assert built == incremental_children(g, (), frozenset(range(g.n)), frozenset())
+        # the whole graph's pivot comes from the degree table; the reference
+        # scans every vertex's score, so degree ties must break the same way
+        graphs = [P.gen_gnp(40, 0.5, seed) for seed in range(3)] + [
+            P.gen_moon_moser(4),
+            P.gen_complete(6),
+            P.Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),
+            P.Graph.from_edges(4, []),
+        ]
+        for g in graphs:
+            expected = incremental_children(g, (), frozenset(range(g.n)), frozenset())
+            for cand in (frozenset(range(g.n)), range(g.n)):
+                ext, base, key = _branches(g.adj_sets, (), cand, set())
+                assert base[1] is None and type(key) is list
+                built = [_vertex_child(g.adj_sets, base, key, q) for q in ext]
+                assert built == expected
+                assert [key[q] for q in ext] == ext
+                assert all(key[w] == g.n for w in set(range(g.n)) - set(ext))
 
 
 class TestSerialEnginesShareTheKernel:
