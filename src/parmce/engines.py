@@ -3,22 +3,22 @@
 Every engine is a list of tasks that one loop (`_run`) hands to one
 handler (`_make_task_handler`), in order at one thread, else on the
 worker pool; cliques leave in chunks either way. A task is a (K, cand,
-fini) triple, or a vertex v standing for child v of a base (K0, cand0,
-fini0) under a strict vertex order (`_vertex_child`): K0 + (v,), with
-cand0 ∩ Γ(v) split into the vertices after v (cand) and before v (fini,
-joined by fini0 ∩ Γ(v)). A worker builds it from Γ(v) alone.
+fini) triple, or a vertex v standing for child v of the whole graph
+under a strict vertex order (`_vertex_child`): K = (v,), with Γ(v) split
+into the vertices after v (cand) and before v (fini). A worker builds it
+from Γ(v) alone.
 
 ttt      - sequential pivoted backtracking; par_ttt at one thread.
-par_ttt  - the same search on a worker pool. A subproblem with a
-           nonempty K or an empty cand is one task; for any other the
-           driver takes the branching step once (`_branches`): it picks
-           the pivot, and the order puts the branch vertices first, by
+par_ttt  - the same search on a worker pool. On the whole graph the
+           driver takes the root's branching step once (`_root_tasks`):
+           every pivot score is a degree, so it reads the pivot off the
+           degree table, and the order puts the branch vertices first, by
            id, so branch vertex q's vertex child is iteration q of the
-           loop, which depends only on the step's own sets and the branch
-           order. Neither depends on the thread count. On the whole graph
-           every pivot score is a degree, so the step reads the pivot off
-           the degree table and builds the order from Γ(pivot), in
-           O(n + Δ) instead of an O(m) scan.
+           loop, in O(n + Δ) instead of an O(m) scan. A subproblem with a
+           nonempty K or an empty cand is one task. An explicit one with
+           an empty K and candidates is split in the driver by
+           `unrolled_children`, after a pivot scan, into (K, cand, fini)
+           tasks. Neither split depends on the thread count.
 par_mce  - one vertex task per vertex v of the whole graph (clique seed
            {v}), ordered by the ranking, so each maximal clique is produced
            exactly once, in the task of its lowest-ranked member; tasks run
@@ -27,16 +27,17 @@ par_mce  - one vertex task per vertex v of the whole graph (clique seed
 The kernel searches a task (K, cand, fini) in a frame: cand ∪ fini in
 ascending id order, bit i for the i-th vertex, and each vertex's
 neighbours in the frame as one int bit mask. Every task lies inside one
-Γ(q) (a root child, a vertex task, a donated node or a subproblem with
-q in K), so a frame has at most Δ bits; the root of the whole graph is
-never framed. Pivot ties and branch order follow vertex ids, so the
-search tree and the order of emissions are those of the same search on
-id sets. Tasks and children with at most two candidates are decided in
-closed form, and finished vertices with no candidate neighbour are left
-out of the frame. A worker searches the root of each task it takes; a
-node below it with |cand| >= cutoff, met while the shared queue is
-hungry, is donated as one task, so a donated task's K is longer than its
-donor's. At one thread the queue is never hungry.
+Γ(q) (a vertex task, a child of an explicit subproblem, a donated node
+or a subproblem with q in K), so a frame has at most Δ bits; the root
+of the whole graph is never framed. Pivot ties and branch order follow
+vertex ids, so the search tree and the order of emissions are those of
+the same search on id sets. Tasks and children with at most two
+candidates are decided in closed form, and finished vertices with no
+candidate neighbour are left out of the frame. A worker searches the
+root of each task it takes; a node below it with |cand| >= cutoff, met
+while the shared queue is hungry, is donated as one task, so a donated
+task's K is longer than its donor's. At one thread the queue is never
+hungry.
 
 All engines emit the same set of cliques for the same graph; only order
 and scheduling differ.
@@ -45,7 +46,7 @@ and scheduling differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .graph import Graph
 from .parallel import ParallelConfig, chunker, run_task_pool
@@ -54,12 +55,6 @@ from .ranking import RankAssignment
 from .sinks import CliqueSink
 
 Child = tuple[tuple[int, ...], set[int], set[int]]
-# (K0, cand0, fini0) of a family of vertex tasks; cand0 None stands for every
-# vertex of the graph, and fini0 is a set.
-Base = tuple[tuple[int, ...], frozenset[int] | set[int] | None, set[int]]
-# key[w] orders each task vertex v strictly against cand0 ∩ Γ(v): a ranking's
-# `RankAssignment.key`, or a branching step's order (`_branches`).
-Keys = Sequence[int] | Mapping[int, int]
 Emit = Callable[[tuple[int, ...]], None]
 # A node's split hook split(K, cand, fini, F): True if it took the node away;
 # cand and fini are bit masks over the frame F.
@@ -78,7 +73,8 @@ class Subproblem:
         if (self.K & self.cand) or (self.K & self.fini) or (self.cand & self.fini):
             raise ValueError("K, cand, fini must be pairwise disjoint")
         for v in self.K | self.cand | self.fini:
-            g._check_vertex(v)
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} out of range [0, {g.n})")
         adj = g.adj_sets
         for a in self.K:
             for b in self.K:
@@ -238,66 +234,43 @@ def _task(
     _kernel(F, rows, K, cmask, fmask, emit, split, cutoff)
 
 
-# -- one branching step as vertex tasks ---------------------------------------
+# -- vertex tasks: the children of the whole graph ---------------------------
 
 
-def _vertex_child(
-    adj: tuple[frozenset[int], ...], base: Base, key: Keys, v: int
-) -> Child:
-    """Child v of base = (K0, cand0, fini0) under the strict order key.
+def _vertex_child(adj: tuple[frozenset[int], ...], key: Sequence[int], v: int) -> Child:
+    """Child v of the whole graph under the strict vertex order key.
 
-    K0 + (v,), cand = the members of cand0 ∩ Γ(v) after v, and fini =
-    (fini0 ∩ Γ(v)) plus the members of cand0 ∩ Γ(v) before v. Built from
-    the Γ(v) side, so it costs O(deg v); cand and fini are fresh sets.
+    ((v,), the members of Γ(v) after v, the members before v): O(deg v),
+    with fresh sets.
     """
-    K0, cand0, fini0 = base
-    nv = adj[v]
     kv = key[v]
     cand: set[int] = set()
-    fini = fini0 & nv
-    for w in nv if cand0 is None else nv & cand0:
+    fini: set[int] = set()
+    for w in adj[v]:
         if key[w] > kv:
             cand.add(w)
         else:
             fini.add(w)
-    return K0 + (v,), cand, fini
+    return (v,), cand, fini
 
 
-def _branches(
-    adj: tuple[frozenset[int], ...],
-    K: tuple[int, ...],
-    cand: set[int] | frozenset[int] | range,
-    fini: set[int],
-) -> tuple[list[int], Base, Keys]:
-    """One branching step of (K, cand, fini) as vertex tasks: (ext, base, key).
+def _root_tasks(adj: tuple[frozenset[int], ...]) -> tuple[list[int], list[int]]:
+    """The whole graph's branching step as vertex tasks: (ext, key); n >= 1.
 
-    ext is cand minus the pivot's neighbourhood, ascending. Each branch
-    vertex's key is its id and every other candidate's is n, so q's vertex
-    child is iteration q of the branching loop: (cand ∩ Γ(q)) minus the
-    earlier branch vertices, and fini ∩ Γ(q) plus them. It depends only on
-    the step's own sets and the branch order. When cand is every vertex
-    (n distinct ids, such as range(n)), fini is empty, so each pivot score
-    |cand ∩ Γ(w)| is deg(w): the pivot is the first vertex of largest
-    degree, read off the degree table, the order is built from Γ(pivot)
-    alone, cand0 is None and the key a list, all in O(n + Δ). Otherwise
-    the pivot is scanned and the key covers cand only, so after the pivot
-    the step costs O(|cand|). Either way a child costs O(deg q) to build.
-    fini must be a set; it is kept in base, not copied or changed.
+    With cand every vertex and fini empty, each pivot score |cand ∩ Γ(w)|
+    is deg(w), so the pivot is the first vertex of largest degree, read
+    off the degree table. ext, the branch vertices, is every vertex
+    outside Γ(pivot), ascending; each keeps its id as its key and every
+    other vertex's key is n, so branch vertex q's vertex child is
+    iteration q of the branching loop (`unrolled_children`). O(n + Δ).
     """
     n = len(adj)
-    key: list[int] | dict[int, int]
-    if len(cand) == n:
-        degrees = list(map(len, adj))
-        key = list(range(n))
-        for w in adj[degrees.index(max(degrees))]:
-            key[w] = n
-        # the branch vertices are those that kept their ids as keys
-        return list(filter(n.__gt__, key)), (K, None, fini), key
-    ext = sorted(cand - adj[_select_pivot(adj, cand, fini)])
-    key = dict.fromkeys(cand, n)
-    for q in ext:
-        key[q] = q
-    return ext, (K, cand, fini), key
+    degrees = list(map(len, adj))
+    key = list(range(n))
+    for w in adj[degrees.index(max(degrees))]:
+        key[w] = n
+    # the branch vertices are those that kept their ids as keys
+    return list(filter(n.__gt__, key)), key
 
 
 def unrolled_children(
@@ -315,22 +288,26 @@ def unrolled_children(
         fini_i = (fini ∩ Γ(q)) ∪ (ext[:i] ∩ Γ(q))
 
     which depends only on the call's own cand/fini and the fixed ext order,
-    never on sibling iterations; child i is q's vertex child of
-    `_branches`, built in O(deg q). cand and fini must be `set`s; they are
-    not changed, and the children's sets are fresh `set`s. Requires
-    nonempty cand ∪ fini.
+    never on sibling iterations, and costs O(deg q). cand and fini must be
+    `set`s; they are not changed, and the children's sets are fresh `set`s.
+    Requires nonempty cand ∪ fini.
     """
     adj = g.adj_sets
-    ext, base, key = _branches(adj, K, cand, fini)
-    return [_vertex_child(adj, base, key, q) for q in ext]
+    children = []
+    earlier: set[int] = set()
+    for q in sorted(cand - adj[_select_pivot(adj, cand, fini)]):
+        nq = adj[q]
+        children.append((K + (q,), (cand & nq) - earlier, (fini & nq) | (earlier & nq)))
+        earlier.add(q)
+    return children
 
 
-def _make_task_handler(g: Graph, base: Base | None, key: Keys, cutoff: int) -> Callable:
+def _make_task_handler(g: Graph, key: Sequence[int], cutoff: int) -> Callable:
     """The one task processor: the pool's handler, and `_run`'s at one thread.
 
-    A task is a vertex id v, standing for `_vertex_child(adj, base, key,
-    v)`, which the handler builds; or a (K, cand, fini) triple, such as a
-    donated node, whose cand and fini sets it consumes. Its root is
+    A task is a vertex id v, standing for `_vertex_child(adj, key, v)`,
+    which the handler builds; or a (K, cand, fini) triple, such as a
+    donated node, whose sets it reads but does not change. Its root is
     searched here. A node below it with |cand| >= cutoff checks hungry()
     once; only when the shared queue is hungry is the node given to spawn,
     as one triple read off the masks. Otherwise it is searched in place.
@@ -345,7 +322,7 @@ def _make_task_handler(g: Graph, base: Base | None, key: Keys, cutoff: int) -> C
             return True
 
         if isinstance(task, int):
-            K, cand, fini = _vertex_child(adj, base, key, task)  # type: ignore[arg-type]
+            K, cand, fini = _vertex_child(adj, key, task)
         else:
             K, cand, fini = task
         _task(adj, list(K), cand, fini, emit, split, cutoff)
@@ -354,13 +331,12 @@ def _make_task_handler(g: Graph, base: Base | None, key: Keys, cutoff: int) -> C
 
 
 def _run(
-    g: Graph, sink: CliqueSink, config: ParallelConfig,
-    tasks: list, base: Base | None = None, key: Keys = (),
+    g: Graph, sink: CliqueSink, config: ParallelConfig, tasks: list, key: Sequence[int] = ()
 ) -> None:
-    """Run tasks (vertex tasks of base under key) through the one handler: in
-    order at one thread, where the queue is never hungry, else on the pool.
+    """Run tasks (vertex tasks under key) through the one handler: in order
+    at one thread, where the queue is never hungry, else on the pool.
     Either way cliques reach the sink through `chunker`, encode then take."""
-    handle = _make_task_handler(g, base, key, config.cutoff)
+    handle = _make_task_handler(g, key, config.cutoff)
     if config.threads > 1:
         run_task_pool(tasks, handle, config, sink)
         return
@@ -376,8 +352,9 @@ def _run(
 def ttt(g: Graph, subproblem: Subproblem | None, sink: CliqueSink) -> None:
     """Emit every maximal clique extending the subproblem (default: all of g).
 
-    This is par_ttt at one thread: the root's children run as vertex tasks,
-    in branch order; a subproblem with a nonempty K is one task.
+    This is par_ttt at one thread: the whole graph's children run as
+    vertex tasks, in branch order; a subproblem with a nonempty K is one
+    task, and any other is split by `unrolled_children`.
     """
     par_ttt(g, subproblem, sink)
 
@@ -390,39 +367,41 @@ def par_ttt(
 ) -> None:
     """ttt whose subtrees may run on a pool; emits exactly ttt's clique set.
 
-    A subproblem with a nonempty K or an empty cand is one task; with a
-    nonempty K it is framed whole inside Γ(k) for k in K. For any other the
-    driver takes the branching step once (`_branches`) and runs each
-    branch vertex, ascending, as a vertex task whose child the worker
-    builds, so the whole graph's root is never framed. The split into
-    tasks is the same at every thread count. The default, the whole graph,
-    goes straight to that step; a subproblem passed in is validated first.
+    The default, the whole graph, takes its branching step off the degree
+    table (`_root_tasks`) and runs each branch vertex, ascending, as a
+    vertex task whose child the worker builds, so its root is never
+    framed. A subproblem passed in is validated first. One with a nonempty
+    K or an empty cand is one task, framed whole inside Γ(k) for k in K;
+    any other is split by `unrolled_children` in the driver, and its
+    children run as (K, cand, fini) tasks. The split into tasks is the
+    same at every thread count.
     """
     if subproblem is None:
         if g.n:
-            _run(g, sink, config, *_branches(g.adj_sets, (), range(g.n), set()))
+            _run(g, sink, config, *_root_tasks(g.adj_sets))
         return
     sp = subproblem
     sp.validate(g)
     if sp.is_empty():
         return
-    K = tuple(sorted(sp.K))
-    if K or not sp.cand:
-        _run(g, sink, config, [(K, set(sp.cand), set(sp.fini))])
+    K, cand, fini = tuple(sorted(sp.K)), set(sp.cand), set(sp.fini)
+    if K or not cand:
+        _run(g, sink, config, [(K, cand, fini)])
         return
-    _run(g, sink, config, *_branches(g.adj_sets, K, sp.cand, set(sp.fini)))
+    _run(g, sink, config, unrolled_children(g, K, cand, fini))
 
 
 # -- per-vertex decomposition -------------------------------------------------
 
 
 def subproblem_for_vertex(g: Graph, rank: RankAssignment, v: int) -> Subproblem:
-    """The vertex-v decomposition root: K={v}, neighborhood split by rank."""
+    """The vertex-v decomposition root, par_mce's vertex task v: K={v}, and
+    Γ(v) split into the vertices after v in the rank order (cand) and
+    before it (fini)."""
     g._check_vertex(v)
-    adj = g.adj_sets
-    key = {w: rank.key(w) for w in adj[v] | {v}}
-    K, cand, fini = _vertex_child(adj, ((), None, set()), key, v)
-    return Subproblem(frozenset(K), frozenset(cand), frozenset(fini))
+    kv = rank.key(v)
+    cand = frozenset(w for w in g.adj_sets[v] if rank.key(w) > kv)
+    return Subproblem(frozenset({v}), cand, g.adj_sets[v] - cand)
 
 
 def par_mce(
@@ -444,4 +423,4 @@ def par_mce(
         return
     key = list(map(rank.key, range(g.n)))
     order = sorted(range(g.n), key=key.__getitem__)
-    _run(g, sink, config, order, ((), None, set()), key)
+    _run(g, sink, config, order, key)

@@ -7,9 +7,9 @@ sink's encode() (in the worker, on the pool) and the result to take()
 (in the driver, as it arrives). By default the chunk travels as its
 tuples and take() emits each one, so a sink overrides emit(), or
 encode() and take() as a pair. HistogramSink ships each chunk's size
-counts instead, and WriterSink its formatted lines, so the driver only
-merges or writes them. Every clique reaches a sink exactly once; no sink
-locks.
+counts instead, unless a subclass overrides emit(), and WriterSink its
+formatted lines, so the driver only merges or writes them. Every clique
+reaches a sink exactly once; no sink locks.
 """
 
 from __future__ import annotations
@@ -45,27 +45,30 @@ class HistogramSink(CliqueSink):
     """Size -> frequency of emitted cliques; its total is the count.
 
     A chunk travels as its size Counter, which take() merges. A subclass
-    that overrides emit() sets needs_cliques to be sent the tuples instead.
+    that overrides emit() is sent the tuples instead, and take() emits
+    each one; a subclass that overrides encode() and take() as a pair
+    decides for itself.
     """
-
-    needs_cliques = False
 
     def __init__(self) -> None:
         self.histogram: Counter[int] = Counter()
+
+    def _counts_only(self) -> bool:
+        return type(self).emit is HistogramSink.emit
 
     def emit(self, clique: tuple[int, ...]) -> None:
         self.histogram[len(clique)] += 1
 
     def encode(self, cliques: list[tuple[int, ...]]) -> Any:
-        if self.needs_cliques:
-            return cliques
-        return Counter(map(len, cliques))
+        if self._counts_only():
+            return Counter(map(len, cliques))
+        return cliques
 
     def take(self, payload: Any) -> None:
-        if self.needs_cliques:
-            super().take(payload)
-        else:
+        if self._counts_only():
             self.histogram.update(payload)
+        else:
+            super().take(payload)
 
     @property
     def count(self) -> int:
@@ -100,8 +103,6 @@ class WriterSink(HistogramSink):
     or finalize that hit it, so the enumeration stops at once instead of
     running on into a dead stream.
     """
-
-    needs_cliques = True
 
     def __init__(
         self,

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import parmce as P
 import parmce.engines as engines
-from parmce.engines import _branches, _make_task_handler, _task, _vertex_child
+from parmce.engines import _make_task_handler, _root_tasks, _task, _vertex_child
 
 from util import (
     CollectSink,
@@ -84,6 +84,7 @@ class TestParTTT:
             P.Subproblem(frozenset({0, 2}), frozenset({1}), frozenset()),  # K not a clique
             P.Subproblem(frozenset(), frozenset({0, 1}), frozenset({1})),  # not disjoint
             P.Subproblem(frozenset({0}), frozenset({1}), frozenset({2})),  # 2 not by 0
+            P.Subproblem(frozenset(), frozenset({0, 1, 2, 3}), frozenset()),  # 3 not a vertex
         ],
     )
     def test_caller_subproblem_is_validated(self, sp):
@@ -179,6 +180,25 @@ class TestLoopUnrolling:
         for _, cq, fq in unrolled:
             assert type(cq) is set and type(fq) is set
 
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([0.3, 0.6, 0.9]),
+        st.lists(st.sampled_from(["K", "cand", "fini", "out"]), min_size=1, max_size=14),
+    )
+    @settings(max_examples=150)
+    def test_matches_incremental_on_valid_subproblems(self, seed, p, roles):
+        # K a clique of real vertices, cand and fini inside its common
+        # neighbourhood: each child is itself a valid subproblem
+        g = P.gen_gnp(len(roles), p, seed)
+        sp = random_subproblem(g, roles)
+        assume(sp.cand)
+        K = tuple(sorted(sp.K))
+        built = P.unrolled_children(g, K, set(sp.cand), set(sp.fini))
+        assert built == incremental_children(g, K, sp.cand, sp.fini)
+        for Kq, cq, fq in built:
+            assert type(cq) is set and type(fq) is set
+            P.Subproblem(frozenset(Kq), frozenset(cq), frozenset(fq)).validate(g)
+
 
 def random_subproblem(g: P.Graph, roles: list[str]) -> P.Subproblem:
     """A valid (K, cand, fini): K a clique of the "K" vertices met in id
@@ -196,27 +216,10 @@ def random_subproblem(g: P.Graph, roles: list[str]) -> P.Subproblem:
 
 
 class TestVertexTasks:
-    """Every branching step runs as vertex tasks: branch vertex q's child,
-    built by _vertex_child from _branches' base and order, must be exactly
-    the child the sequential loop makes with in-place cand/fini updates
-    (`util.incremental_children`)."""
-
-    @given(
-        st.integers(0, 10_000),
-        st.sampled_from([0.3, 0.6, 0.9]),
-        st.lists(st.sampled_from(["K", "cand", "fini", "out"]), min_size=1, max_size=14),
-    )
-    @settings(max_examples=150)
-    def test_vertex_children_are_unrolled_children(self, seed, p, roles):
-        g = P.gen_gnp(len(roles), p, seed)
-        sp = random_subproblem(g, roles)
-        assume(sp.cand)
-        K = tuple(sorted(sp.K))
-        ext, base, key = _branches(g.adj_sets, K, sp.cand, set(sp.fini))
-        built = [_vertex_child(g.adj_sets, base, key, q) for q in ext]
-        assert built == incremental_children(g, K, sp.cand, sp.fini)
-        for _, cq, fq in built:
-            assert type(cq) is set and type(fq) is set
+    """The whole graph's branching step runs as vertex tasks: branch vertex
+    q's child, built by _vertex_child from _root_tasks' order, must be
+    exactly the child the sequential loop makes with in-place cand/fini
+    updates (`util.incremental_children`)."""
 
     def test_root_children_are_unrolled_children(self):
         # the whole graph's pivot comes from the degree table; the reference
@@ -229,13 +232,12 @@ class TestVertexTasks:
         ]
         for g in graphs:
             expected = incremental_children(g, (), frozenset(range(g.n)), frozenset())
-            for cand in (frozenset(range(g.n)), range(g.n)):
-                ext, base, key = _branches(g.adj_sets, (), cand, set())
-                assert base[1] is None and type(key) is list
-                built = [_vertex_child(g.adj_sets, base, key, q) for q in ext]
-                assert built == expected
-                assert [key[q] for q in ext] == ext
-                assert all(key[w] == g.n for w in set(range(g.n)) - set(ext))
+            ext, key = _root_tasks(g.adj_sets)
+            built = [_vertex_child(g.adj_sets, key, q) for q in ext]
+            assert built == expected
+            assert built == P.unrolled_children(g, (), set(range(g.n)), set())
+            assert [key[q] for q in ext] == ext
+            assert all(key[w] == g.n for w in set(range(g.n)) - set(ext))
 
 
 class TestSerialEnginesShareTheKernel:
@@ -264,17 +266,22 @@ class TestSerialEnginesShareTheKernel:
 def search_as_vertex_tasks(adj, K, cand, fini, emit, split, cutoff) -> None:
     """ttt's search with a split hook on every node: a subproblem with a
     nonempty K (or empty cand) is one task; otherwise each of its branch
-    vertices' children is a task. The subproblem's root and each task's
-    root are offered to the hook here when they have >= cutoff
-    candidates, as in `reference_ttt`; `_task` offers the nodes below."""
+    vertices' children is a task, a vertex task (`_root_tasks`) on the
+    whole graph and an explicit child (`unrolled_children`) on any other.
+    The subproblem's root and each task's root are offered to the hook
+    here when they have >= cutoff candidates, as in `reference_ttt`;
+    `_task` offers the nodes below."""
     if len(cand) >= cutoff:
         split(K, cand, fini)
     if K or not cand:
         _task(adj, K, cand, fini, emit, split, cutoff)
         return
-    ext, base, key = _branches(adj, (), cand, fini)
-    for q in ext:
-        Kq, cq, fq = _vertex_child(adj, base, key, q)
+    if len(cand) == len(adj):
+        ext, key = _root_tasks(adj)
+        children = [_vertex_child(adj, key, q) for q in ext]
+    else:
+        children = P.unrolled_children(P.Graph(adj), (), cand, fini)
+    for Kq, cq, fq in children:
         if len(cq) >= cutoff:
             split(list(Kq), cq, fq)
         _task(adj, list(Kq), cq, fq, emit, split, cutoff)
@@ -367,6 +374,33 @@ class TestFrameWidth:
         if threads == 1:  # a forked worker's frames are not seen here
             assert widths and max(widths) <= delta
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("part", ["root", "partial"])
+    def test_explicit_empty_K_subproblems_are_framed_within_max_degree(
+        self, monkeypatch, part, threads
+    ):
+        # split by unrolled_children: each child lies inside one Γ(q)
+        n = self.G.n
+        if part == "root":
+            sp = P.root_subproblem(self.G)
+        else:
+            sp = P.Subproblem(
+                frozenset(),
+                frozenset(v for v in range(n) if v % 3),
+                frozenset(v for v in range(n) if v % 6 == 0),
+            )
+        delta = max(map(len, self.G.adj_sets))
+        expected: list[tuple[int, ...]] = []
+        reference_ttt(self.G.adj_sets, [], set(sp.cand), set(sp.fini), expected.append)
+        widths = self.gated(monkeypatch, delta)
+        got = CollectSink()
+        P.par_ttt(self.G, sp, got, P.ParallelConfig(threads=threads, cutoff=4))
+        assert P.canonical_family(got.cliques) == P.canonical_family(expected)
+        if part == "root":
+            assert P.canonical_family(expected) == canonical_run("ttt", self.G)
+        if threads == 1:
+            assert widths and max(widths) <= delta
+
     def test_vertex_subproblems_are_framed_within_max_degree(self, monkeypatch):
         # a subproblem with K = {v} is framed whole, inside Γ(v)
         delta = max(map(len, self.G.adj_sets))
@@ -394,7 +428,7 @@ class TestSplitPolicy:
 
     def handle(self, task, cutoff, hungry):
         spawned, emitted = [], []
-        handle = _make_task_handler(self.G, ((), None, set()), range(self.G.n), cutoff)
+        handle = _make_task_handler(self.G, _root_tasks(self.G.adj_sets)[1], cutoff)
         K, cand, fini = task
         handle((K, set(cand), set(fini)), emitted.append, spawned.append, hungry)
         return spawned, emitted
