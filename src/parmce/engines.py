@@ -35,9 +35,9 @@ the same search on id sets. Tasks and children with at most two
 candidates are decided in closed form, and finished vertices with no
 candidate neighbour are left out of the frame. A worker searches the
 root of each task it takes; a node below it with |cand| >= cutoff, met
-while the shared queue is hungry, is donated as one task, so a donated
-task's K is longer than its donor's. At one thread the queue is never
-hungry.
+while the driver holds fewer than 2 × workers batches, is donated as one
+task, so a donated task's K is longer than its donor's. At one thread
+nothing is donated.
 
 All engines emit the same set of cliques for the same graph; only order
 and scheduling differ.
@@ -309,8 +309,9 @@ def _make_task_handler(g: Graph, key: Sequence[int], cutoff: int) -> Callable:
     which the handler builds; or a (K, cand, fini) triple, such as a
     donated node, whose sets it reads but does not change. Its root is
     searched here. A node below it with |cand| >= cutoff checks hungry()
-    once; only when the shared queue is hungry is the node given to spawn,
-    as one triple read off the masks. Otherwise it is searched in place.
+    once; only when the driver holds fewer than 2 × workers batches is the
+    node given to spawn, as one triple read off the masks. Otherwise it is
+    searched in place.
     """
     adj = g.adj_sets
 
@@ -334,7 +335,8 @@ def _run(
     g: Graph, sink: CliqueSink, config: ParallelConfig, tasks: list, key: Sequence[int] = ()
 ) -> None:
     """Run tasks (vertex tasks under key) through the one handler: in order
-    at one thread, where the queue is never hungry, else on the pool.
+    at one thread, where nothing is donated, else on the pool, where a node
+    is donated only while the driver holds fewer than 2 × workers batches.
     Either way cliques reach the sink through `chunker`, encode then take."""
     handle = _make_task_handler(g, key, config.cutoff)
     if config.threads > 1:

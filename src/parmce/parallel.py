@@ -1,43 +1,39 @@
-"""Fork-based worker pool with a shared dynamic work queue.
+"""Fork-based worker pool; the driver deals the batches.
 
 Shared-memory parallelism in CPython means processes: the pool forks after
 the graph (and ranking) are built, so every worker reads the same
-copy-on-write pages instead of receiving a serialized graph.
-
-Scheduling is dynamic: tasks live on one queue, any idle worker takes the
-next message, and a worker searching a big subproblem can donate a node of
-it back to the queue, as one new task, when the queue is running dry; the
-nodes it keeps it searches itself. Every queue message is a batch: the
-initial tasks go out as contiguous runs whose sizes depend only on the
-task count and the worker count, so they keep their order, and each
-donated task goes out alone. A shared counter holds the batches queued or
-running, so the worker that finishes the last one knows the work is done
-and tells every worker to stop.
-
-Workers never share mutable algorithm state; results leave a worker one
-way only. It gathers its cliques in chunks of at most _CHUNK (`chunker`,
-as a one-thread run does), has the sink encode each chunk in the worker
-(see CliqueSink.encode) and sends the payload on its own pipe while it
-searches; the driver hands each payload to the sink's take() as it
-arrives. A full pipe blocks its worker, so a run holds O(_CHUNK *
-workers) cliques in flight, not the whole output. The driver waits in its
-main thread on those pipes and on the workers' process sentinels, so the
-first task that raises, a failed final flush, or a worker that dies, ends
-the run at once with an error instead of a hang. The workers ignore
-SIGINT; a KeyboardInterrupt in the driver terminates them.
+copy-on-write pages instead of receiving a serialized graph. There is no
+shared queue or counter. The driver holds the batches and sends the next
+one to each worker that reports idle, on a task pipe only it writes; it
+queues each node a worker donates as a batch of its own, publishes in 8
+bytes of shared memory how many batches it holds, and stops every worker
+once all are idle and no batch is left. Workers send their cliques, chunk
+by chunk as sink.encode() payloads, on their own result pipes; a full pipe
+blocks its worker, so memory stays bounded. Messages are length-prefixed
+pickles. The driver waits with poll() and writes to a worker only while it
+waits for a batch, so neither blocks on the other. A task that raises, or
+a worker's death, seen as end-of-file on its result pipe, ends the run at
+once with an error. The workers ignore SIGINT; on a KeyboardInterrupt or
+any error the driver kills and reaps them. A worker whose driver is gone
+sees its task pipe end.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import os
+import pickle
+import select
 import signal
+import sys
 import traceback
+from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
-from multiprocessing.connection import wait
-from typing import TYPE_CHECKING, Any, Callable
+from functools import partial
+from mmap import mmap
+from typing import Any, Callable
 
-if TYPE_CHECKING:
-    from .sinks import CliqueSink
+from .sinks import CliqueSink
 
 
 @dataclass(frozen=True)
@@ -45,11 +41,10 @@ class ParallelConfig:
     """Worker budget and the cutoff that gates donating search nodes.
 
     A search node below a task's root whose cand has at least `cutoff`
-    vertices asks once, when it is visited, whether the shared queue is
-    hungry; only then is it donated, whole, as one new task. A task's root
-    is never donated, and a node inside a task with at most two candidates
-    is decided in closed form without asking, whatever the cutoff. Every
-    other node is searched in place. At one thread nothing is donated.
+    vertices asks once, when it is visited, whether the driver holds fewer
+    than 2 × workers batches; only then is it donated, whole, as one new
+    task. A task's root is never donated, nor is a node inside a task with
+    at most two candidates (decided in closed form), nor any at one thread.
     """
 
     threads: int = 1
@@ -62,7 +57,7 @@ class ParallelConfig:
             raise ValueError("cutoff must be >= 1")
 
 
-# The largest message carries 1 / (workers * _BATCHES_PER_WORKER) of a task
+# The largest batch carries 1 / (workers * _BATCHES_PER_WORKER) of a task
 # list: small enough for dynamic balancing at the tail, large enough that
 # per-message cost stays negligible.
 _BATCHES_PER_WORKER = 8
@@ -74,7 +69,7 @@ _CHUNK = 2048
 
 
 def _batches(tasks: list[Any], workers: int) -> list[list[Any]]:
-    """Cut tasks, in order, into contiguous queue messages.
+    """Cut tasks, in order, into the contiguous batches the driver deals.
 
     Sizes start at 1 and double after every `workers` messages, up to
     len(tasks) / (workers * _BATCHES_PER_WORKER). The head of the list,
@@ -114,77 +109,58 @@ def chunker(sink: CliqueSink | None, deliver: Callable[[Any], None]) -> tuple[Ca
     return emit, flush
 
 
+def _send(fd: int, *msg: Any) -> None:
+    data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _recv(fd: int) -> tuple:  # EOFError if the writer is gone first
+    buf, size = bytearray(), 8
+    while len(buf) < size:
+        if not (more := os.read(fd, size - len(buf))):
+            raise EOFError
+        buf += more
+        if size == len(buf) == 8:
+            size += int.from_bytes(buf, "little")
+    return pickle.loads(memoryview(buf)[8:])
+
+
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(AttributeError, ValueError, OSError):
+            stream.flush()
+
+
 def _worker(
-    conn: Any,
-    work_q: Any,
-    pending: Any,
-    handler: Callable[..., None],
-    sink: CliqueSink | None,
-    workers: int,
+    fds: set[int], rfd: int, wfd: int, handler: Callable, sink: Any, shm: mmap, mark: int
 ) -> None:
-    # The driver stops the workers on KeyboardInterrupt; a terminal's Ctrl-C
-    # reaches the whole process group, so the workers themselves ignore it.
-    # It was blocked across the fork, so none slipped in before this line.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    emit, flush = chunker(sink, lambda payload: conn.send(("cliques", payload)))
-    hunger_mark = 2 * workers
+    """A forked worker's life: batches in on rfd, (tag, body) out on wfd; never returns."""
+    code = 1
+    try:
+        for fd in fds.difference((rfd, wfd)):  # the driver's ends, and earlier workers'
+            os.close(fd)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        emit, flush = chunker(sink, partial(_send, wfd, "cliques"))
+        spawn = partial(_send, wfd, "spawn")
 
-    def spawn(task: Any) -> None:
-        with pending.get_lock():
-            pending.value += 1
-        work_q.put([task])
+        def hungry() -> bool:
+            return int.from_bytes(shm, "little") < mark
 
-    def hungry() -> bool:
-        try:
-            return work_q.qsize() < hunger_mark
-        except NotImplementedError:
-            return True
-
-    while True:
-        batch = work_q.get()
-        try:
-            if batch is None:
-                flush()
-                conn.send(("done", None))
-                return
+        while (batch := _recv(rfd)[0]) is not None:  # EOFError: the driver is gone
             for task in batch:
                 handler(task, emit, spawn, hungry)
-        except Exception:
-            conn.send(("failed", traceback.format_exc()))
-            return
-        with pending.get_lock():
-            pending.value -= 1
-            if pending.value == 0:
-                for _ in range(workers):
-                    work_q.put(None)
-
-
-def _collect(left: dict[Any, Any], sink: CliqueSink | None) -> None:
-    """Read every worker's messages in `left` (pipe -> process) to its report.
-
-    Each payload goes to sink.take() as it arrives, until every worker has
-    reported done. A task traceback raises at once. A sentinel that fires
-    while its pipe holds nothing means the worker died; a pipe is checked
-    before its sentinel, so a worker that reported and then exited is not
-    flagged.
-    """
-    while left:
-        ready = wait([*left, *(p.sentinel for p in left.values())])
-        for conn, p in list(left.items()):
-            if conn in ready:
-                tag, body = conn.recv()
-                if tag == "cliques":
-                    sink.take(body)  # type: ignore[union-attr]
-                elif tag == "done":
-                    del left[conn]
-                else:
-                    raise RuntimeError("worker task failed:\n" + body)
-            elif p.sentinel in ready and not conn.poll():
-                p.join()
-                raise RuntimeError(
-                    f"worker pid {p.pid} exited with code {p.exitcode} before the pool finished"
-                )
+            _send(wfd, "idle", None)
+        flush()
+        _send(wfd, "done", None)
+        code = 0
+    except Exception:
+        _send(wfd, "failed", traceback.format_exc())  # raises if the driver is gone
+    finally:
+        _flush_stdio()
+        os._exit(code)
 
 
 def run_task_pool(
@@ -193,55 +169,79 @@ def run_task_pool(
     config: ParallelConfig,
     sink: CliqueSink | None = None,
 ) -> None:
-    """Run tasks on `config.threads` forked workers; deliver their results.
+    """Run `handler(task, emit, spawn, hungry)` over tasks on forked workers.
 
-    `handler(task, emit, spawn, hungry)` may pass a follow-up task to
-    spawn, which queues it as a batch of its own, and hungry() reports
-    whether the shared queue wants more of them. A shared counter of
-    queued or running batches tells the workers when to stop. Every worker
-    sends sink.encode(chunk) for each chunk of at most _CHUNK cliques as it
-    goes, and this thread passes each payload to sink.take(); with no sink
-    (None, or False) the cliques are dropped. This thread waits on the
-    pipes and the workers' sentinels, and the first task that raises, or a
-    worker that dies, raises RuntimeError and terminates the rest; so does
-    an error raised by the sink, such as a failed write.
+    Each payload goes to sink.take(); with no sink (None, or False) the
+    cliques are dropped. A task that raises or a worker that dies raises
+    RuntimeError; on any error every worker is killed. All are reaped and
+    every pipe is closed before this returns or raises.
     """
-    batches = _batches(tasks, config.threads)
-    if not batches:
+    deck = deque(_batches(tasks, config.threads))
+    if not deck:
         return
-    if sink is False:
-        sink = None
-    ctx = mp.get_context("fork")
-    work_q = ctx.Queue()
-    pending = ctx.Value("i", len(batches))
-    # The driver keeps every sending end open as well, so a pipe turns ready
-    # only with a message, never with end-of-file.
-    pipes = [ctx.Pipe(duplex=False) for _ in range(config.threads)]
-    args = (work_q, pending, handler, sink, config.threads)
-    workers = [ctx.Process(target=_worker, args=(send, *args), daemon=True) for _, send in pipes]
+    sink = None if sink is False else sink
+    shm = mmap(-1, 8)  # anonymous and shared: len(deck), for hungry()
+    fds: set[int] = set()  # every pipe end this thread holds
+    workers: dict[int, tuple[int, int]] = {}  # result pipe -> (pid, task pipe), until reaped
+    idle: list[int] = []  # the result pipes of workers waiting for a batch
+    poller = select.poll()
+
+    def deal() -> None:
+        stop = not deck and len(idle) == config.threads
+        while idle and (deck or stop):
+            with suppress(BrokenPipeError):  # a dead worker: its result pipe ends
+                _send(workers[idle.pop()][1], deck.popleft() if deck else None)
+        shm[:] = len(deck).to_bytes(8, "little")
+
     try:
-        # Fork every worker before the first put starts the queue's thread,
-        # with SIGINT held back meanwhile (it stays pending for this thread).
+        deal()
+        # SIGINT stays pending for this thread while forking; the workers ignore it
         blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            for p in workers:
-                p.start()
+            _flush_stdio()
+            for _ in range(config.threads):
+                fds.update(tasks := os.pipe())
+                fds.update(results := os.pipe())
+                if (pid := os.fork()) == 0:
+                    _worker(fds, tasks[0], results[1], handler, sink, shm, 2 * config.threads)
+                workers[results[0]] = (pid, tasks[1])
+                for fd in (tasks[0], results[1]):
+                    os.close(fd)
+                    fds.remove(fd)
+                poller.register(results[0], select.POLLIN)
+                idle.append(results[0])
+                deal()
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        for batch in batches:
-            work_q.put(batch)
-        _collect({recv: p for (recv, _), p in zip(pipes, workers)}, sink)
+        left = config.threads
+        while left:
+            for fd, _ in poller.poll():
+                try:
+                    tag, body = _recv(fd)
+                except EOFError:
+                    pid = workers.pop(fd)[0]
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    msg = f"worker pid {pid} exited with code {code} before the pool finished"
+                    raise RuntimeError(msg) from None
+                if tag == "cliques":
+                    sink.take(body)  # type: ignore[union-attr]
+                elif tag == "spawn":
+                    deck.append([body])
+                elif tag == "idle":
+                    idle.append(fd)
+                elif tag == "done":
+                    poller.unregister(fd)
+                    left -= 1
+                else:
+                    raise RuntimeError("worker task failed:\n" + body)
+            deal()
     except BaseException:
-        work_q.cancel_join_thread()
-        for p in workers:
-            if p.is_alive():
-                p.terminate()
+        for pid, _ in workers.values():
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for p in workers:
-            if p.pid is not None:
-                p.join()
-        for recv, send in pipes:
-            recv.close()
-            send.close()
-        work_q.close()
+        for pid, _ in workers.values():
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+        shm.close()

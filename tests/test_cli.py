@@ -22,6 +22,8 @@ from parmce.cli import (
     scaling_sweep,
 )
 
+from util import package_env
+
 
 class TestRunConfig:
     def test_order_only_with_parmce(self):
@@ -427,22 +429,26 @@ class TestMainEntry:
 
 def start_cli(args, **popen_kw):
     """`python -m parmce.cli run ARGS` on the package under test."""
-    src = os.path.dirname(os.path.dirname(P.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "parmce.cli", "run", *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=dict(os.environ, PYTHONPATH=path), **popen_kw,
+        env=package_env(), **popen_kw,
     )
 
 
 def close_after_one_line(args, timeout):
-    """List ARGS to a pipe whose reader closes after one line: (exit code, stderr)."""
-    proc = start_cli([*args, "--mode", "list"])
+    """List ARGS to a pipe whose reader closes after one line: (exit code, stderr).
+
+    The CLI runs in its own session, and no process of its group, such as
+    a pool worker, may outlive it.
+    """
+    proc = start_cli([*args, "--mode", "list"], start_new_session=True)
     try:
         assert proc.stdout.readline().strip()
         proc.stdout.close()
         _, err = proc.communicate(timeout=timeout)
     finally:
         proc.kill()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no worker is left in the group
     return proc.returncode, err

@@ -1,13 +1,16 @@
 """The forked task pool: batched messages, spawned tasks, streamed
-listings and counts, failures and Ctrl-C.
+listings and counts, failures, Ctrl-C and a killed driver.
 
 Each test that could hang on a pool defect runs under a deadline, so a
-regression fails instead of stalling the suite.
+regression fails instead of stalling the suite, and each test that starts
+a pool checks that it leaves no process and no open fd behind.
 """
 
-import multiprocessing as mp
+import errno
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
@@ -16,9 +19,10 @@ from contextlib import contextmanager
 import pytest
 
 import parmce as P
+import parmce.parallel as parallel
 from parmce.parallel import _BATCHES_PER_WORKER, _CHUNK, ParallelConfig, _batches, run_task_pool
 
-from util import CollectSink, canonical_run
+from util import CollectSink, canonical_run, no_leftovers, package_env
 
 
 @contextmanager
@@ -71,14 +75,13 @@ class TestBatches:
 class TestBatchedPool:
     def test_zero_tasks(self):
         sink = CollectSink()
-        with deadline(30):
+        with no_leftovers(), deadline(30):
             run_task_pool([], emit_task, ParallelConfig(2), sink)
         assert sink.cliques == []
-        assert mp.active_children() == []
 
     def test_more_workers_than_tasks(self):
         sink = CollectSink()
-        with deadline(30):
+        with no_leftovers(), deadline(30):
             run_task_pool([0, 1], emit_task, ParallelConfig(3), sink)
             assert sorted(sink.cliques) == [(0,), (1,)]
             # 3 vertices: 3 par_mce tasks and 1 par_ttt root, on 4 workers
@@ -89,20 +92,21 @@ class TestBatchedPool:
         sizes = [len(b) for b in _batches(list(range(n)), 2)]
         assert sizes[-1] < max(sizes)
         sink = CollectSink()
-        with deadline(60):
+        with no_leftovers(), deadline(60):
             run_task_pool(list(range(n)), emit_task, ParallelConfig(2), sink)
             assert sorted(sink.cliques) == [(t,) for t in range(n)]
             engines_agree_with_ttt(P.gen_gnp(n, 0.3, 4), threads=2, cutoff=4)
 
     def test_spawned_batch_runs_every_task(self):
         sink = CollectSink()
-        with deadline(30):
+        with no_leftovers(), deadline(30):
             run_task_pool([("root", 50)], spawn_leaves, ParallelConfig(2), sink)
         assert sorted(sink.cliques) == [(i,) for i in range(50)]
 
     def test_nested_spawns_on_more_workers_than_cores(self):
-        # Every spawn and every finished batch updates the shared batch
-        # counter; a lost update would stop the pool early or hang it.
+        # Every spawn goes to the driver as its own batch while other
+        # workers report idle; one lost or misdealt batch would stop the
+        # pool early or hang it.
         def handler(task, emit, spawn, hungry):
             depth, i = task
             if depth < 4:
@@ -112,18 +116,17 @@ class TestBatchedPool:
                 emit((i,))
 
         sink = CollectSink()
-        with deadline(60):
+        with no_leftovers(), deadline(60):
             run_task_pool([(0, 0)], handler, ParallelConfig(4), sink)
         assert sorted(sink.cliques) == [(i,) for i in range(8**4)]
-        assert mp.active_children() == []
 
     def test_counting_sink_gets_the_merged_histogram_once(self):
         sink = P.HistogramSink()
-        with deadline(30):
+        with no_leftovers(), deadline(30):
             assert run_task_pool(list(range(37)), emit_task, ParallelConfig(2), sink) is None
         assert sink.histogram == Counter({1: 37})
         assert sink.count == 37
-        with deadline(30):
+        with no_leftovers(), deadline(30):
             assert run_task_pool(list(range(5)), emit_task, ParallelConfig(2), False) is None
 
 
@@ -162,12 +165,11 @@ class TestStreamedListing:
         g = P.gen_moon_moser(9)
         sink = PayloadLog()
         cfg = ParallelConfig(threads=2)
-        with deadline(60):
+        with no_leftovers(), deadline(60):
             if engine == "parmce":
                 P.par_mce(g, P.degree_rank(g), sink, cfg)
             else:
                 P.par_ttt(g, None, sink, cfg)
-        assert mp.active_children() == []
         # the largest message a worker sends holds at most one chunk
         assert max(len(cliques) for _, cliques in sink.payloads) <= _CHUNK
         per_worker = Counter(pid for pid, _ in sink.payloads)
@@ -198,7 +200,7 @@ class TestStreamedListing:
         expected = canonical_run("ttt", g)
         for cls in (Keeps, Flagged):
             sink = cls()
-            with deadline(60):
+            with no_leftovers(), deadline(60):
                 P.par_mce(g, P.degree_rank(g), sink, ParallelConfig(threads=2))
             assert (sink.count, dict(sink.histogram)) == (3**8, {8: 3**8}), cls
             assert P.canonical_family(sink.cliques) == expected
@@ -215,7 +217,7 @@ class TestStreamedListing:
         assert len(expected) == 442
         for threads in (1, 2):
             sink = Sized()
-            with deadline(60):
+            with no_leftovers(), deadline(60):
                 P.par_mce(g, P.degree_rank(g), sink, ParallelConfig(threads=threads))
             assert P.canonical_family(sink.cliques) == expected, threads
 
@@ -229,10 +231,9 @@ class TestStreamedListing:
                 emit((task, i))
             time.sleep(0.05)
 
-        with deadline(4):
+        with no_leftovers(), deadline(4):
             with pytest.raises(OSError, match="disk full"):
                 run_task_pool(list(range(400)), handler, ParallelConfig(2), Fails())
-        assert mp.active_children() == []
 
 
 class TestStreamedCounts:
@@ -243,12 +244,11 @@ class TestStreamedCounts:
         g = P.gen_moon_moser(9)
         sink = SizeLog()
         cfg = ParallelConfig(threads=2)
-        with deadline(60):
+        with no_leftovers(), deadline(60):
             if engine == "parmce":
                 P.par_mce(g, P.degree_rank(g), sink, cfg)
             else:
                 P.par_ttt(g, None, sink, cfg)
-        assert mp.active_children() == []
         for _, sizes in sink.payloads:
             assert isinstance(sizes, Counter)
             assert set(sizes) == {9}
@@ -271,12 +271,11 @@ class TestPoolFailures:
                 raise ValueError(f"task {bad} failed")
             emit((task,))
 
-        with deadline(30):
+        with no_leftovers(), deadline(30):
             with pytest.raises(RuntimeError) as info:
                 run_task_pool(tasks, handler, ParallelConfig(2), False)
         assert "Traceback" in str(info.value)
         assert f"ValueError: task {bad} failed" in str(info.value)
-        assert mp.active_children() == []
 
     def test_failing_final_flush_is_reported(self):
         # each worker's last, partial chunk is encoded after its last task
@@ -284,21 +283,19 @@ class TestPoolFailures:
             def encode(self, cliques):
                 raise ValueError("cannot encode")
 
-        with deadline(30):
+        with no_leftovers(), deadline(30):
             with pytest.raises(RuntimeError) as info:
                 run_task_pool([0, 1, 2], emit_task, ParallelConfig(2), EncodeFails())
         assert "ValueError: cannot encode" in str(info.value)
-        assert mp.active_children() == []
 
     def test_dead_worker_raises_instead_of_hanging(self):
         def handler(task, emit, spawn, hungry):
             if task == 3:
                 os._exit(7)
 
-        with deadline(20):
+        with no_leftovers(), deadline(20):
             with pytest.raises(RuntimeError, match=r"worker pid \d+ exited with code 7"):
                 run_task_pool(list(range(40)), handler, ParallelConfig(2), False)
-        assert mp.active_children() == []
 
     def test_first_task_failure_ends_the_run_at_once(self):
         # 400 tasks of 0.05 s on 2 workers: about 10 s of work per worker
@@ -307,12 +304,11 @@ class TestPoolFailures:
                 raise ValueError("task 3 failed")
             time.sleep(0.05)
 
-        with deadline(4):
+        with no_leftovers(), deadline(4):
             with pytest.raises(RuntimeError) as info:
                 run_task_pool(list(range(400)), handler, ParallelConfig(2), False)
         assert "Traceback" in str(info.value)
         assert "ValueError: task 3 failed" in str(info.value)
-        assert mp.active_children() == []
 
     def test_sigint_stops_the_workers(self):
         def handler(task, emit, spawn, hungry):
@@ -320,10 +316,104 @@ class TestPoolFailures:
 
         timer = threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGINT))
         try:
-            with deadline(5):
+            with no_leftovers(), deadline(5):
                 timer.start()
                 with pytest.raises(KeyboardInterrupt):
                     run_task_pool(list(range(400)), handler, ParallelConfig(2), False)
         finally:
             timer.cancel()
-        assert mp.active_children() == []
+
+    def test_a_failed_fork_stops_the_workers_already_started(self, monkeypatch):
+        # the second fork fails: the first worker, asleep in its task, is
+        # killed and reaped, and every pipe opened so far is closed
+        real_fork = os.fork
+        forks = []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return real_fork()
+
+        def handler(task, emit, spawn, hungry):
+            time.sleep(60)
+
+        monkeypatch.setattr(parallel.os, "fork", fork)
+        with no_leftovers(), deadline(10):
+            with pytest.raises(OSError, match="fork refused"):
+                run_task_pool(list(range(10)), handler, ParallelConfig(3), False)
+        assert len(forks) == 2
+
+
+ORPHAN_DRIVER = """
+import os, sys, time
+from parmce.parallel import ParallelConfig, run_task_pool
+
+def handler(task, emit, spawn, hungry):
+    if task == "short":
+        with open(sys.argv[1] + ".part", "w") as f:
+            f.write(str(os.getpid()))
+        os.replace(sys.argv[1] + ".part", sys.argv[1])
+    else:
+        time.sleep(60)
+
+run_task_pool(["long", "short"], handler, ParallelConfig(2), False)
+"""
+
+
+def running(pid):
+    """True while pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+class TestKilledDriver:
+    def test_an_idle_worker_exits_when_its_driver_is_killed(self, tmp_path):
+        # one worker sleeps in the long task; the other finishes the short
+        # one and waits for a batch that a SIGKILLed driver never sends
+        pid_file = tmp_path / "short.pid"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_DRIVER, str(pid_file)],
+            env=package_env(), start_new_session=True,
+        )
+        try:
+            give_up = time.monotonic() + 30
+            while not pid_file.exists():
+                assert proc.poll() is None, "the driver ended before the short task ran"
+                assert time.monotonic() < give_up, "the short task never ran"
+                time.sleep(0.01)
+            worker = int(pid_file.read_text())
+            assert running(worker)
+            proc.kill()
+            proc.wait(timeout=10)
+            give_up = time.monotonic() + 5
+            while running(worker):
+                assert time.monotonic() < give_up, f"idle worker {worker} outlived its driver by 5 s"
+                time.sleep(0.01)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)
+
+
+def test_the_pool_does_not_import_multiprocessing():
+    code = (
+        "import sys, parmce.cli, parmce as P\n"
+        "g = P.gen_gnp(40, 0.3, 1)\n"
+        "sink = P.CountingSink()\n"
+        "P.par_mce(g, P.degree_rank(g), sink, P.ParallelConfig(threads=2))\n"
+        "print(sink.count, sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    count, modules = out.stdout.split(" ", 1)
+    assert int(count) == len(canonical_run("ttt", P.gen_gnp(40, 0.3, 1)))
+    assert modules.strip() == "[]"

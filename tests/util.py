@@ -7,8 +7,10 @@ shared bug can't hide on both sides of a comparison.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 import parmce as P
 from parmce.pivoting import _select_pivot
@@ -20,6 +22,31 @@ class CollectSink(P.CliqueSink):
 
     def emit(self, clique: tuple[int, ...]) -> None:
         self.cliques.append(clique)
+
+
+def package_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(P.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@contextmanager
+def no_leftovers() -> Iterator[None]:
+    """Fail unless the block reaps every child it starts and closes every fd it opens.
+
+    No child of this process may be left, running or unreaped, and
+    /proc/self/fd must list as many entries as before the block.
+    """
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass  # no child at all
+    else:
+        raise AssertionError(f"a child process is left (waitpid(-1, WNOHANG) gave pid {pid})")
+    assert len(os.listdir("/proc/self/fd")) == fds, "an fd opened in the block is still open"
 
 
 def run_engine(
