@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--cutoff", type=int, metavar="N",
                        help="min cand size at which a search node may go, as one task, "
-                            "to idle workers (a task's root, or a node inside a task "
-                            "with at most 2 candidates, never does)")
+                            "to idle workers (a task's root, or a node with fewer than 3 "
+                            "candidates, which is decided in closed form, never does)")
     p_run.add_argument("--output", metavar="FILE",
                        help="clique listing (list mode), or the sweep's CSV table "
                             "(without it a sweep only prints the table)")

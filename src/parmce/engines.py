@@ -31,9 +31,10 @@ neighbours in the frame as one int bit mask. Every task lies inside one
 or a subproblem with q in K), so a frame has at most Δ bits; the root
 of the whole graph is never framed. Pivot ties and branch order follow
 vertex ids, so the search tree and the order of emissions are those of
-the same search on id sets. Tasks and children with at most two
-candidates are decided in closed form, and finished vertices with no
-candidate neighbour are left out of the frame. A worker searches the
+the same search on id sets. A task whose candidates share no edge, or
+are two adjacent vertices, and a child with fewer than three candidates
+are decided in closed form; finished vertices with no candidate
+neighbour are left out of the frame. A worker searches the
 root of each task it takes; a node below it with |cand| >= cutoff, met
 while the driver holds fewer than 2 × workers batches, is donated as one
 task, so a donated task's K is longer than its donor's. At one thread
@@ -119,8 +120,8 @@ def _kernel(
     part). The pivot is the first bit of cand | fini with the most of cand
     in its row, and the branches are the bits of cand minus the pivot's row
     in ascending order, so ties, branches and emissions follow vertex ids
-    exactly as a search over id sets would. A child with at most two
-    candidates is decided in place, as `_task` decides such a task; any
+    exactly as a search over id sets would. A child with fewer than three
+    candidates is decided in place, in the closed forms `_task` uses; any
     other child with at least cutoff candidates asks the split hook first,
     passing its masks and F.
     """
@@ -204,29 +205,28 @@ def _task(
     """Search one task given as id sets: closed forms, else frame and kernel.
 
     The task's own root is always searched here; split and cutoff pass to
-    the kernel, which offers the nodes below it. A task with at most two
-    candidates is decided without a search. Otherwise the fini vertices
-    with no neighbour in cand are dropped: none reaches a descendant's
-    fini, and one can win the pivot only at score 0, where every pivot
-    branches on all of cand.
+    the kernel, which offers the nodes below it. A task whose candidates
+    share no edge, or are just two adjacent vertices, is decided without
+    a search: with no edge in cand any pivot branches on the candidates
+    outside its neighbourhood, ascending, and each child has an empty
+    cand, so q yields K + q iff no fini vertex touches q. Otherwise the
+    fini vertices with no neighbour in cand are dropped: none reaches a
+    descendant's fini, and one can win the pivot only at score 0, where
+    every pivot branches on all of cand.
     """
-    if len(cand) <= 2:
-        if not cand:
-            if not fini:
-                emit(tuple(sorted(K)))
-        elif len(cand) == 1:
-            (a,) = cand
-            if fini.isdisjoint(adj[a]):
-                emit(tuple(sorted(K + [a])))
-        else:
-            a, b = sorted(cand)
-            if b in adj[a]:
-                if adj[a].isdisjoint(fini & adj[b]):
-                    emit(tuple(sorted(K + [a, b])))
-            else:
-                for x in (a, b):
-                    if fini.isdisjoint(adj[x]):
-                        emit(tuple(sorted(K + [x])))
+    if not cand:
+        if not fini:
+            emit(tuple(sorted(K)))
+        return
+    if all(cand.isdisjoint(adj[q]) for q in cand):
+        for q in sorted(cand):
+            if fini.isdisjoint(adj[q]):
+                emit(tuple(sorted(K + [q])))
+        return
+    if len(cand) == 2:
+        a, b = cand
+        if adj[a].isdisjoint(fini & adj[b]):
+            emit(tuple(sorted(K + [a, b])))
         return
     F, rows, cmask, fmask = _frame(
         adj, cand, [w for w in fini if not cand.isdisjoint(adj[w])]

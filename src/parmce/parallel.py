@@ -43,8 +43,8 @@ class ParallelConfig:
     A search node below a task's root whose cand has at least `cutoff`
     vertices asks once, when it is visited, whether the driver holds fewer
     than 2 × workers batches; only then is it donated, whole, as one new
-    task. A task's root is never donated, nor is a node inside a task with
-    at most two candidates (decided in closed form), nor any at one thread.
+    task. A task's root is never donated, nor is a node with fewer than
+    three candidates (decided in closed form), nor any at one thread.
     """
 
     threads: int = 1
