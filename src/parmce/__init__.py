@@ -4,7 +4,6 @@ from .engines import (
     Subproblem,
     par_mce,
     par_ttt,
-    root_subproblem,
     subproblem_for_vertex,
     ttt,
     unrolled_children,
@@ -66,7 +65,6 @@ __all__ = [
     "par_pivot",
     "par_ttt",
     "read_edge_list",
-    "root_subproblem",
     "select_pivot",
     "subproblem_for_vertex",
     "triangle_counts",

@@ -14,11 +14,8 @@ par_ttt  - the same search on a worker pool. On the whole graph the
            every pivot score is a degree, so it reads the pivot off the
            degree table, and the order puts the branch vertices first, by
            id, so branch vertex q's vertex child is iteration q of the
-           loop, in O(n + Δ) instead of an O(m) scan. A subproblem with a
-           nonempty K or an empty cand is one task. An explicit one with
-           an empty K and candidates is split in the driver by
-           `unrolled_children`, after a pivot scan, into (K, cand, fini)
-           tasks. Neither split depends on the thread count.
+           loop, in O(n + Δ) instead of an O(m) scan. A subproblem passed
+           in is one (K, cand, fini) task, the form a donated node takes.
 par_mce  - one vertex task per vertex v of the whole graph (clique seed
            {v}), ordered by the ranking, so each maximal clique is produced
            exactly once, in the task of its lowest-ranked member; tasks run
@@ -26,15 +23,15 @@ par_mce  - one vertex task per vertex v of the whole graph (clique seed
 
 The kernel searches a task (K, cand, fini) in a frame: cand ∪ fini in
 ascending id order, bit i for the i-th vertex, and each vertex's
-neighbours in the frame as one int bit mask. Every task lies inside one
-Γ(q) (a vertex task, a child of an explicit subproblem, a donated node
-or a subproblem with q in K), so a frame has at most Δ bits; the root
-of the whole graph is never framed. Pivot ties and branch order follow
-vertex ids, so the search tree and the order of emissions are those of
-the same search on id sets. A task whose candidates share no edge, or
-are two adjacent vertices, and a child with fewer than three candidates
-are decided in closed form; finished vertices with no candidate
-neighbour are left out of the frame. A worker searches the
+neighbours in the frame as one int bit mask. A vertex task, a donated
+node and a subproblem with q in K lie inside Γ(q), so their frames have
+at most Δ bits; an explicit subproblem with an empty K is framed whole,
+and the whole graph's root is never framed. Pivot ties and branch order
+follow vertex ids, so the search tree and the order of emissions are
+those of the same search on id sets. A task whose candidates share no
+edge, and a child with fewer than three candidates, are decided in
+closed form; finished vertices with no candidate neighbour are left out
+of the frame. A worker searches the
 root of each task it takes; a node below it with |cand| >= cutoff, met
 while the driver holds fewer than 2 × workers batches, is donated as one
 task, so a donated task's K is longer than its donor's. At one thread
@@ -51,7 +48,7 @@ from typing import Callable, Sequence
 
 from .graph import Graph
 from .parallel import ParallelConfig, chunker, run_task_pool
-from .pivoting import _select_pivot
+from .pivoting import select_pivot
 from .ranking import RankAssignment
 from .sinks import CliqueSink
 
@@ -86,14 +83,6 @@ class Subproblem:
                 if w not in adj[k]:
                     raise ValueError(f"{w} in cand/fini is not adjacent to {k} in K")
 
-    def is_empty(self) -> bool:
-        return not (self.K or self.cand or self.fini)
-
-
-def root_subproblem(g: Graph) -> Subproblem:
-    """K empty, cand = all vertices, fini empty: enumerate everything."""
-    return Subproblem(frozenset(), frozenset(range(g.n)), frozenset())
-
 
 # -- the search kernel --------------------------------------------------------
 
@@ -113,7 +102,7 @@ def _kernel(
     split: Split,
     cutoff: int,
 ) -> None:
-    """Pivoted backtracking on the bit masks of a frame; |cand| >= 3.
+    """Pivoted backtracking on the bit masks of a frame; cand has an edge.
 
     Bit i stands for vertex F[i], F ascending, and rows[i] is the mask of
     Γ(F[i]) in the frame (for a vertex that starts in fini, only its cand
@@ -121,9 +110,9 @@ def _kernel(
     in its row, and the branches are the bits of cand minus the pivot's row
     in ascending order, so ties, branches and emissions follow vertex ids
     exactly as a search over id sets would. A child with fewer than three
-    candidates is decided in place, in the closed forms `_task` uses; any
-    other child with at least cutoff candidates asks the split hook first,
-    passing its masks and F.
+    candidates is decided in place, in closed form; any other child with
+    at least cutoff candidates asks the split hook first, passing its
+    masks and F.
     """
     best = -1
     m = cand | fini
@@ -179,17 +168,11 @@ def _frame(
     F is cand ∪ fini ascending. A fini vertex's row keeps only its cand
     part, the only part the kernel reads. The bit table is the frame's own.
     """
-    if fini:
-        S = cand.union(fini)
-        F = sorted(S)
-        get = {v: 1 << i for i, v in enumerate(F)}.__getitem__
-        rows = [sum(map(get, adj[u] & (S if u in cand else cand))) for u in F]
-        fmask = sum(map(get, fini))
-    else:
-        F = sorted(cand)
-        get = {v: 1 << i for i, v in enumerate(F)}.__getitem__
-        rows = [sum(map(get, adj[u] & cand)) for u in F]
-        fmask = 0
+    S = cand.union(fini)
+    F = sorted(S)
+    get = {v: 1 << i for i, v in enumerate(F)}.__getitem__
+    rows = [sum(map(get, adj[u] & (S if u in cand else cand))) for u in F]
+    fmask = sum(map(get, fini))
     return F, rows, ((1 << len(F)) - 1) ^ fmask, fmask
 
 
@@ -205,14 +188,14 @@ def _task(
     """Search one task given as id sets: closed forms, else frame and kernel.
 
     The task's own root is always searched here; split and cutoff pass to
-    the kernel, which offers the nodes below it. A task whose candidates
-    share no edge, or are just two adjacent vertices, is decided without
-    a search: with no edge in cand any pivot branches on the candidates
-    outside its neighbourhood, ascending, and each child has an empty
-    cand, so q yields K + q iff no fini vertex touches q. Otherwise the
-    fini vertices with no neighbour in cand are dropped: none reaches a
-    descendant's fini, and one can win the pivot only at score 0, where
-    every pivot branches on all of cand.
+    the kernel, which offers the nodes below it. A task with no candidate
+    yields K iff fini is empty. One whose candidates share no edge is
+    decided without a search: any pivot branches on the candidates outside
+    its neighbourhood, ascending, and each child has an empty cand, so q
+    yields K + q iff no fini vertex touches q. Any other task goes to the
+    kernel, after the fini vertices with no neighbour in cand are dropped:
+    none reaches a descendant's fini, and one can win the pivot only at
+    score 0, where every pivot branches on all of cand.
     """
     if not cand:
         if not fini:
@@ -222,11 +205,6 @@ def _task(
         for q in sorted(cand):
             if fini.isdisjoint(adj[q]):
                 emit(tuple(sorted(K + [q])))
-        return
-    if len(cand) == 2:
-        a, b = cand
-        if adj[a].isdisjoint(fini & adj[b]):
-            emit(tuple(sorted(K + [a, b])))
         return
     F, rows, cmask, fmask = _frame(
         adj, cand, [w for w in fini if not cand.isdisjoint(adj[w])]
@@ -290,12 +268,14 @@ def unrolled_children(
     which depends only on the call's own cand/fini and the fixed ext order,
     never on sibling iterations, and costs O(deg q). cand and fini must be
     `set`s; they are not changed, and the children's sets are fresh `set`s.
-    Requires nonempty cand ∪ fini.
+    Requires nonempty cand ∪ fini. No engine calls it: the whole graph's
+    children are its vertex tasks (`_root_tasks`), and any other task
+    branches inside the kernel.
     """
     adj = g.adj_sets
     children = []
     earlier: set[int] = set()
-    for q in sorted(cand - adj[_select_pivot(adj, cand, fini)]):
+    for q in sorted(cand - adj[select_pivot(g, cand, fini)]):
         nq = adj[q]
         children.append((K + (q,), (cand & nq) - earlier, (fini & nq) | (earlier & nq)))
         earlier.add(q)
@@ -355,8 +335,7 @@ def ttt(g: Graph, subproblem: Subproblem | None, sink: CliqueSink) -> None:
     """Emit every maximal clique extending the subproblem (default: all of g).
 
     This is par_ttt at one thread: the whole graph's children run as
-    vertex tasks, in branch order; a subproblem with a nonempty K is one
-    task, and any other is split by `unrolled_children`.
+    vertex tasks, in branch order, and a subproblem passed in is one task.
     """
     par_ttt(g, subproblem, sink)
 
@@ -372,11 +351,10 @@ def par_ttt(
     The default, the whole graph, takes its branching step off the degree
     table (`_root_tasks`) and runs each branch vertex, ascending, as a
     vertex task whose child the worker builds, so its root is never
-    framed. A subproblem passed in is validated first. One with a nonempty
-    K or an empty cand is one task, framed whole inside Γ(k) for k in K;
-    any other is split by `unrolled_children` in the driver, and its
-    children run as (K, cand, fini) tasks. The split into tasks is the
-    same at every thread count.
+    framed. A subproblem passed in is validated, then queued as one
+    (K, cand, fini) task, the form a donated node takes, unless K and cand
+    are both empty; its root is searched whole, so on the pool only the
+    nodes donated below it run in parallel.
     """
     if subproblem is None:
         if g.n:
@@ -384,13 +362,8 @@ def par_ttt(
         return
     sp = subproblem
     sp.validate(g)
-    if sp.is_empty():
-        return
-    K, cand, fini = tuple(sorted(sp.K)), set(sp.cand), set(sp.fini)
-    if K or not cand:
-        _run(g, sink, config, [(K, cand, fini)])
-        return
-    _run(g, sink, config, unrolled_children(g, K, cand, fini))
+    if sp.K or sp.cand:
+        _run(g, sink, config, [(tuple(sorted(sp.K)), set(sp.cand), set(sp.fini))])
 
 
 # -- per-vertex decomposition -------------------------------------------------

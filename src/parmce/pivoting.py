@@ -12,7 +12,9 @@ from itertools import chain
 from .graph import Graph
 
 
-def _select_pivot(adj: tuple[frozenset[int], ...], cand, fini) -> int:
+def select_pivot(g: Graph, cand: set[int] | frozenset[int], fini: set[int] | frozenset[int]) -> int:
+    """Sequential scan for argmax |cand ∩ Γ(u)| over u in cand ∪ fini."""
+    adj = g.adj_sets
     best_t = -1
     best_v = -1
     for w in chain(cand, fini):
@@ -22,11 +24,6 @@ def _select_pivot(adj: tuple[frozenset[int], ...], cand, fini) -> int:
     if best_v < 0:
         raise ValueError("pivot undefined: cand and fini are both empty")
     return best_v
-
-
-def select_pivot(g: Graph, cand: set[int] | frozenset[int], fini: set[int] | frozenset[int]) -> int:
-    """Sequential scan for argmax |cand ∩ Γ(u)| over u in cand ∪ fini."""
-    return _select_pivot(g.adj_sets, cand, fini)
 
 
 def par_pivot(g: Graph, cand, fini) -> int:

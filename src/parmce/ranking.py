@@ -52,53 +52,29 @@ def triangle_counts(g: Graph) -> RankAssignment:
 def degeneracy_rank(g: Graph) -> RankAssignment:
     """Core number of every vertex via O(n + m) minimum-degree peeling.
 
-    Bucket-queue variant: vertices sorted by current degree, repeatedly
-    remove a minimum-degree vertex and decrement its remaining neighbors.
-    The maximum value over vertices is the graph degeneracy.
+    One list per degree, peeled level by level, lowest first: at level d
+    each vertex whose current degree is d is removed, and each neighbour
+    of larger degree loses one and is appended to its new degree's list,
+    which at d itself is the list being peeled. No degree drops below the
+    level, and a removed vertex keeps its degree, at most the level, so
+    the guard also passes over removed neighbours, and deg[v] is v's core
+    number once v is removed. An entry whose vertex has since moved to a
+    lower list is stale and skipped. The maximum value over vertices is
+    the graph degeneracy.
     """
-    n = g.n
-    deg = [len(s) for s in g.adj_sets]
-    if n == 0:
-        return RankAssignment("degeneracy", ())
-    max_deg = max(deg)
-
-    bin_start = [0] * (max_deg + 1)
-    for d in deg:
-        bin_start[d] += 1
-    total = 0
-    for d in range(max_deg + 1):
-        count = bin_start[d]
-        bin_start[d] = total
-        total += count
-
-    pos = [0] * n
-    vert = [0] * n
-    next_slot = bin_start.copy()
-    for v in range(n):
-        pos[v] = next_slot[deg[v]]
-        vert[pos[v]] = v
-        next_slot[deg[v]] += 1
-
-    # peel in current-degree order (Batagelj-Zaversnik); the deg[w] > deg[v]
-    # guard keeps the removal degrees non-decreasing, so it also skips every
-    # neighbor already peeled, and deg[v] is final, v's core number, once
-    # v is reached
     adj = g.adj_sets
-    for i in range(n):
-        v = vert[i]
-        dv = deg[v]
-        for w in adj[v]:
-            if deg[w] <= dv:
+    deg = list(map(len, adj))
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)
+    for d, bucket in enumerate(buckets):
+        for v in bucket:  # grows while it is peeled
+            if deg[v] != d:
                 continue
-            dw = deg[w]
-            first = bin_start[dw]
-            u = vert[first]
-            if u != w:
-                vert[first], vert[pos[w]] = w, u
-                pos[u], pos[w] = pos[w], first
-            bin_start[dw] += 1
-            deg[w] -= 1
-
+            for w in adj[v]:
+                if deg[w] > d:
+                    deg[w] -= 1
+                    buckets[deg[w]].append(w)
     return RankAssignment("degeneracy", tuple(deg))
 
 

@@ -1,3 +1,4 @@
+import os
 from itertools import count
 
 import pytest
@@ -15,6 +16,7 @@ from util import (
     reference_ttt,
     run_engine,
     walk_lockstep,
+    whole_graph_subproblem,
 )
 
 K3 = P.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -69,12 +71,13 @@ class TestParTTT:
     )
     def test_default_root_stream_is_explicit_root_stream(self, g):
         # None takes the branching step straight off the whole graph; an
-        # explicit root is validated first, and must then split the same way
+        # explicit root is validated, then searched as one task, and must
+        # give the same stream
         for cutoff in (1, 16):
             cfg = P.ParallelConfig(threads=1, cutoff=cutoff)
             default, explicit = CollectSink(), CollectSink()
             P.par_ttt(g, None, default, cfg)
-            P.par_ttt(g, P.root_subproblem(g), explicit, cfg)
+            P.par_ttt(g, whole_graph_subproblem(g), explicit, cfg)
             assert default.cliques == explicit.cliques
             assert default.cliques
 
@@ -128,6 +131,35 @@ class TestParTTT:
         sink = CollectSink()
         P.par_ttt(g, None, sink, P.ParallelConfig(threads=2, cutoff=4))
         assert P.canonical_family(sink.cliques) == canonical_run("ttt", g)
+
+    @pytest.mark.parametrize("part", ["root", "partial"])
+    def test_explicit_empty_K_is_shared_by_donation(self, part):
+        # one task: the worker that takes it searches its root, and the
+        # other worker gets only nodes donated from below that root
+        g = P.gen_gnp(60, 0.4, 2)
+        if part == "root":
+            sp = whole_graph_subproblem(g)
+        else:
+            sp = P.Subproblem(frozenset(), frozenset(range(1, g.n)), frozenset({0}))
+
+        class ByWorker(CollectSink):
+            def __init__(self):
+                super().__init__()
+                self.pids = set()
+
+            def encode(self, cliques):
+                return os.getpid(), cliques
+
+            def take(self, payload):
+                self.pids.add(payload[0])
+                super().take(payload[1])
+
+        sink = ByWorker()
+        P.par_ttt(g, sp, sink, P.ParallelConfig(threads=2, cutoff=3))
+        expected: list[tuple[int, ...]] = []
+        reference_ttt(g.adj_sets, [], set(sp.cand), set(sp.fini), expected.append)
+        assert sorted(sink.cliques) == sorted(expected)
+        assert len(sink.pids) == 2, "no node was donated to the second worker"
 
     def test_empty_cand_on_the_pool_is_a_leaf(self):
         # K is emitted when fini is empty too, and nothing otherwise
@@ -264,24 +296,19 @@ class TestSerialEnginesShareTheKernel:
 
 
 def search_as_vertex_tasks(adj, K, cand, fini, emit, split, cutoff) -> None:
-    """ttt's search with a split hook on every node: a subproblem with a
-    nonempty K (or empty cand) is one task; otherwise each of its branch
-    vertices' children is a task, a vertex task (`_root_tasks`) on the
-    whole graph and an explicit child (`unrolled_children`) on any other.
-    The subproblem's root and each task's root are offered to the hook
-    here when they have >= cutoff candidates, as in `reference_ttt`;
-    `_task` offers the nodes below."""
+    """ttt's search with a split hook on every node, split into tasks as
+    par_ttt splits it: the whole graph (K and fini empty, cand every
+    vertex) as the vertex tasks of its branch vertices (`_root_tasks`),
+    and any other subproblem as one task. The subproblem's root and each
+    task's root are offered to the hook here when they have >= cutoff
+    candidates, as in `reference_ttt`; `_task` offers the nodes below."""
     if len(cand) >= cutoff:
         split(K, cand, fini)
-    if K or not cand:
+    if K or fini or len(cand) < len(adj):
         _task(adj, K, cand, fini, emit, split, cutoff)
         return
-    if len(cand) == len(adj):
-        ext, key = _root_tasks(adj)
-        children = [_vertex_child(adj, key, q) for q in ext]
-    else:
-        children = P.unrolled_children(P.Graph(adj), (), cand, fini)
-    for Kq, cq, fq in children:
+    ext, key = _root_tasks(adj)
+    for Kq, cq, fq in (_vertex_child(adj, key, q) for q in ext):
         if len(cq) >= cutoff:
             split(list(Kq), cq, fq)
         _task(adj, list(Kq), cq, fq, emit, split, cutoff)
@@ -317,7 +344,7 @@ class TestBitKernel:
     def test_same_stream_and_nodes_as_the_set_kernel(self, seed, p, roles):
         g = P.gen_gnp(len(roles), p, seed)
         sp = random_subproblem(g, roles)
-        assume(not sp.is_empty())
+        assume(sp.K or sp.cand or sp.fini)
         expected: list[tuple[int, ...]] = []
         reference_ttt(g.adj_sets, sorted(sp.K), set(sp.cand), set(sp.fini), expected.append)
         got = CollectSink()
@@ -329,8 +356,9 @@ class TestBitKernel:
     def test_same_stream_and_nodes_on_whole_graphs(self, n, p):
         for seed in range(2):
             g = P.gen_gnp(n, p, seed)
-            got, nodes = stream_and_nodes(search_as_vertex_tasks, g, P.root_subproblem(g))
-            assert (got, nodes) == stream_and_nodes(reference_ttt, g, P.root_subproblem(g))
+            sp = whole_graph_subproblem(g)
+            got, nodes = stream_and_nodes(search_as_vertex_tasks, g, sp)
+            assert (got, nodes) == stream_and_nodes(reference_ttt, g, sp)
             assert nodes > 100
             assert got == run_engine("ttt", g)
 
@@ -387,7 +415,8 @@ class TestEdgelessCandidates:
     def test_frames_built_on_a_sparse_graph(self, monkeypatch):
         # pinned, so that tasks cannot stop taking the closed form unnoticed:
         # framing every task with three or more candidates, ttt builds
-        # 1,404 frames here and par_mce 1,610
+        # 1,404 frames here and par_mce 1,610; two adjacent candidates are
+        # framed, 2 of ttt's tasks here and 1 of par_mce's
         g = P.gen_gnp(2000, 0.005, 5)
         frame = engines._frame
         calls = [0]
@@ -398,15 +427,16 @@ class TestEdgelessCandidates:
 
         monkeypatch.setattr(engines, "_frame", counted)
         family = canonical_run("ttt", g)
-        assert calls == [140]
+        assert calls == [142]
         calls[0] = 0
         assert canonical_run("parmce", g, order="degeneracy") == family
-        assert calls == [147]
+        assert calls == [148]
 
 
 class TestFrameWidth:
-    """Every frame lies inside one neighbourhood, so none holds more than
-    Δ(g) vertices; the whole graph's root is never framed."""
+    """Every frame of an engine's task lies inside one neighbourhood, so
+    none holds more than Δ(g) vertices; the whole graph's root is never
+    framed. Only an explicit subproblem with an empty K is framed whole."""
 
     G = P.gen_gnp(80, 0.4, 5)
 
@@ -438,30 +468,24 @@ class TestFrameWidth:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("part", ["root", "partial"])
-    def test_explicit_empty_K_subproblems_are_framed_within_max_degree(
-        self, monkeypatch, part, threads
-    ):
-        # split by unrolled_children: each child lies inside one Γ(q)
+    def test_explicit_empty_K_gives_the_reference_family(self, part, threads):
+        # one task each, framed whole: its frame may be wider than Δ
         n = self.G.n
         if part == "root":
-            sp = P.root_subproblem(self.G)
+            sp = whole_graph_subproblem(self.G)
         else:
             sp = P.Subproblem(
                 frozenset(),
                 frozenset(v for v in range(n) if v % 3),
                 frozenset(v for v in range(n) if v % 6 == 0),
             )
-        delta = max(map(len, self.G.adj_sets))
         expected: list[tuple[int, ...]] = []
         reference_ttt(self.G.adj_sets, [], set(sp.cand), set(sp.fini), expected.append)
-        widths = self.gated(monkeypatch, delta)
         got = CollectSink()
         P.par_ttt(self.G, sp, got, P.ParallelConfig(threads=threads, cutoff=4))
         assert P.canonical_family(got.cliques) == P.canonical_family(expected)
         if part == "root":
             assert P.canonical_family(expected) == canonical_run("ttt", self.G)
-        if threads == 1:
-            assert widths and max(widths) <= delta
 
     def test_vertex_subproblems_are_framed_within_max_degree(self, monkeypatch):
         # a subproblem with K = {v} is framed whole, inside Γ(v)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterator
 
 import parmce as P
-from parmce.pivoting import _select_pivot
 
 
 class CollectSink(P.CliqueSink):
@@ -68,6 +67,11 @@ def run_engine(
     else:
         raise ValueError(engine)
     return sink.cliques
+
+
+def whole_graph_subproblem(g: P.Graph) -> P.Subproblem:
+    """The whole graph as an explicit subproblem: K and fini empty, cand every vertex."""
+    return P.Subproblem(frozenset(), frozenset(range(g.n)), frozenset())
 
 
 def canonical_run(engine: str, g: P.Graph, **kw) -> P.canonical_family:
@@ -154,8 +158,10 @@ def reference_ttt(
 ) -> None:
     """The set kernel that preceded the bit-mask one.
 
-    Kept verbatim as the reference for the kernel's differential test:
-    pivoted backtracking; owns and consumes cand/fini.
+    Kept as the reference for the kernel's differential test: pivoted
+    backtracking; owns and consumes cand/fini. Its pivot is the vertex of
+    cand ∪ fini with the most of cand in its neighbourhood, ties to the
+    smallest id, found here by its own scan.
 
     With a split hook, a node with |cand| >= cutoff asks it first; when the
     hook returns True it has taken the node's subtree away and the node
@@ -167,7 +173,7 @@ def reference_ttt(
         return
     if split is not None and len(cand) >= cutoff and split(K, cand, fini):
         return
-    pivot = _select_pivot(adj, cand, fini)
+    pivot = min(chain(cand, fini), key=lambda w: (-len(cand & adj[w]), w))
     for q in sorted(cand - adj[pivot]):
         nq = adj[q]
         cand_q = cand & nq
