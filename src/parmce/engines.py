@@ -27,15 +27,15 @@ neighbours in the frame as one int bit mask. A vertex task, a donated
 node and a subproblem with q in K lie inside Γ(q), so their frames have
 at most Δ bits; an explicit subproblem with an empty K is framed whole,
 and the whole graph's root is never framed. Pivot ties and branch order
-follow vertex ids, so the search tree and the order of emissions are
-those of the same search on id sets. A task whose candidates share no
-edge, and a child with fewer than three candidates, are decided in
-closed form; finished vertices with no candidate neighbour are left out
-of the frame. A worker searches the
-root of each task it takes; a node below it with |cand| >= cutoff, met
-while the driver holds fewer than 2 × workers batches, is donated as one
-task, so a donated task's K is longer than its donor's. At one thread
-nothing is donated.
+follow vertex ids, so the search tree and the order of the cliques are
+those of the same search on id sets; each clique is emitted unsorted, in
+the order its vertices joined K. A task whose candidates share no edge,
+and a child with fewer than three candidates, are decided in closed
+form; finished vertices with no candidate neighbour are left out of the
+frame. A worker searches the root of each task it takes; a node below it
+with |cand| >= cutoff, met while the driver holds fewer than 2 × workers
+batches, is donated as one task, so a donated task's K is longer than
+its donor's. At one thread nothing is donated.
 
 All engines emit the same set of cliques for the same graph; only order
 and scheduling differ.
@@ -108,11 +108,11 @@ def _kernel(
     Γ(F[i]) in the frame (for a vertex that starts in fini, only its cand
     part). The pivot is the first bit of cand | fini with the most of cand
     in its row, and the branches are the bits of cand minus the pivot's row
-    in ascending order, so ties, branches and emissions follow vertex ids
-    exactly as a search over id sets would. A child with fewer than three
-    candidates is decided in place, in closed form; any other child with
-    at least cutoff candidates asks the split hook first, passing its
-    masks and F.
+    in ascending order, so ties, branches and the order of the cliques
+    follow vertex ids exactly as a search over id sets would; each clique
+    is the tuple (*K, ...) in K's order, unsorted. A child with fewer than
+    three candidates is decided in place, in closed form; any other child
+    with at least cutoff candidates asks the split hook (`Split`) first.
     """
     best = -1
     m = cand | fini
@@ -136,11 +136,11 @@ def _kernel(
         K.append(F[i])
         if not c:
             if not f:
-                emit(tuple(sorted(K)))
+                emit(tuple(K))
         elif not c & (c - 1):
             a = c.bit_length() - 1
             if not f & rows[a]:
-                emit(tuple(sorted(K + [F[a]])))
+                emit((*K, F[a]))
         else:
             nc = c.bit_count()
             if nc == 2:
@@ -149,12 +149,12 @@ def _kernel(
                 ra = rows[a]
                 if ra >> b & 1:
                     if not f & ra & rows[b]:
-                        emit(tuple(sorted(K + [F[a], F[b]])))
+                        emit((*K, F[a], F[b]))
                 else:
                     if not f & ra:
-                        emit(tuple(sorted(K + [F[a]])))
+                        emit((*K, F[a]))
                     if not f & rows[b]:
-                        emit(tuple(sorted(K + [F[b]])))
+                        emit((*K, F[b]))
             elif nc < cutoff or not split(K, c, f, F):
                 _kernel(F, rows, K, c, f, emit, split, cutoff)
         K.pop()
@@ -199,12 +199,12 @@ def _task(
     """
     if not cand:
         if not fini:
-            emit(tuple(sorted(K)))
+            emit(tuple(K))
         return
     if all(cand.isdisjoint(adj[q]) for q in cand):
         for q in sorted(cand):
             if fini.isdisjoint(adj[q]):
-                emit(tuple(sorted(K + [q])))
+                emit((*K, q))
         return
     F, rows, cmask, fmask = _frame(
         adj, cand, [w for w in fini if not cand.isdisjoint(adj[w])]

@@ -1,15 +1,15 @@
 """Clique consumers and the run report.
 
-Sinks receive cliques as ascending tuples of dense ids, as the kernel
-emits them, and never re-sort them. Every engine, at every thread count,
-hands a sink its results one way: each chunk of cliques goes to the
+Each chunk of cliques an engine emits, at any thread count, goes to the
 sink's encode() (in the worker, on the pool) and the result to take()
-(in the driver, as it arrives). By default the chunk travels as its
-tuples and take() emits each one, so a sink overrides emit(), or
-encode() and take() as a pair. HistogramSink ships each chunk's size
-counts instead, unless a subclass overrides emit(), and WriterSink its
-formatted lines, so the driver only merges or writes them. Every clique
-reaches a sink exactly once; no sink locks.
+(in the driver, as it arrives). The kernel emits each clique as a tuple
+of dense ids in no fixed inner order; by default a chunk travels as its
+tuples, each sorted, and take() emits each one. So a sink overrides
+emit(), which gets ascending tuples, or encode() and take() as a pair,
+where encode() gets the tuples unsorted. HistogramSink ships each
+chunk's size counts instead, unless a subclass overrides emit(), and
+WriterSink its formatted lines, so the driver only merges or writes
+them. Every clique reaches a sink exactly once; no sink locks.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ class CliqueSink:
         raise NotImplementedError
 
     def encode(self, cliques: list[tuple[int, ...]]) -> Any:
-        """Worker side: the picklable payload that stands for `cliques`;
-        by default the cliques themselves."""
-        return cliques
+        """Worker side: the picklable payload that stands for `cliques`,
+        tuples in no fixed inner order; by default each one sorted."""
+        return [tuple(sorted(c)) for c in cliques]
 
     def take(self, payload: Any) -> None:
         """Driver side: consume one payload made by encode(); by default
@@ -62,7 +62,7 @@ class HistogramSink(CliqueSink):
     def encode(self, cliques: list[tuple[int, ...]]) -> Any:
         if self._counts_only():
             return Counter(map(len, cliques))
-        return cliques
+        return super().encode(cliques)
 
     def take(self, payload: Any) -> None:
         if self._counts_only():
@@ -92,16 +92,16 @@ CountingSink = HistogramSink
 class WriterSink(HistogramSink):
     """Writes one clique per line, ascending ids space-separated.
 
-    It keeps the size histogram of what it writes. canonical=True buffers
-    everything and writes the cliques sorted by their dense-id tuples
-    (stable golden files across thread budgets and engines).
-    use_original_labels translates dense ids back through the load-time
-    label map. The engines have each chunk's lines formatted (encode, in
-    the worker on the pool) and written as one block (take); canonical
-    chunks travel as tuples. The first write error (a
-    full disk, a reader that closed the pipe) raises from the emit, take
-    or finalize that hit it, so the enumeration stops at once instead of
-    running on into a dead stream.
+    It keeps the size histogram of what it writes. A line sorts the dense
+    ids before use_original_labels maps them back through the load-time
+    label map. canonical=True buffers everything and writes the cliques
+    sorted by their ascending dense-id tuples (stable golden files across
+    thread budgets and engines). The engines have each chunk's lines
+    formatted (encode, in the worker on the pool) and written as one block
+    (take); canonical chunks travel as sorted tuples. The first write
+    error (a full disk, a reader that closed the pipe) raises from the
+    emit, take or finalize that hit it, so the enumeration stops at once
+    instead of running on into a dead stream.
     """
 
     def __init__(
@@ -125,26 +125,25 @@ class WriterSink(HistogramSink):
             self._name = [str(x) for x in names].__getitem__
 
     def _line(self, clique: tuple[int, ...]) -> str:
-        return " ".join(map(self._name, clique)) + "\n"
+        return " ".join(map(self._name, sorted(clique))) + "\n"
 
     def emit(self, clique: tuple[int, ...]) -> None:
         super().emit(clique)
         if self.canonical:
-            self._buffer.append(clique)
+            self._buffer.append(tuple(sorted(clique)))
         else:
             self.out.write(self._line(clique))
 
     def encode(self, cliques: list[tuple[int, ...]]) -> Any:
-        if self.canonical:
-            return cliques
-        return "".join(map(self._line, cliques)), Counter(map(len, cliques))
+        body = super().encode(cliques) if self.canonical else "".join(map(self._line, cliques))
+        return body, Counter(map(len, cliques))
 
     def take(self, payload: Any) -> None:
+        body, sizes = payload
         if self.canonical:
-            super().take(payload)
-            return
-        text, sizes = payload
-        self.out.write(text)
+            self._buffer += body
+        else:
+            self.out.write(body)
         self.histogram.update(sizes)
 
     def finalize(self) -> None:

@@ -93,7 +93,8 @@ class TestWriterSink:
     @pytest.mark.parametrize("original_labels", [False, True])
     @pytest.mark.parametrize("canonical", [False, True])
     def test_encoded_chunks_write_what_emit_writes(self, original_labels, canonical):
-        cliques = [(2, 3), (0, 1, 2), (1, 4)]
+        # the kernel emits a clique in the order its vertices joined K
+        cliques = [(3, 2), (2, 0, 1), (4, 1)]
         kw = dict(use_original_labels=original_labels, canonical=canonical, labels=(50, 7, 9, 11, 400))
         by_emit, by_chunk = io.StringIO(), io.StringIO()
         emitted = P.WriterSink(by_emit, **kw)
@@ -107,8 +108,13 @@ class TestWriterSink:
             s.finalize()
             assert (s.count, dict(s.histogram)) == (3, {2: 2, 3: 1})
         assert by_chunk.getvalue() == by_emit.getvalue()
-        first = "50 7 9\n" if original_labels else "0 1 2\n"
-        assert first in by_emit.getvalue()
+        # each line: the dense ids ascending, then named; canonical order
+        # follows the ascending dense-id tuples, not the labels
+        lines = {(3, 2): "9 11", (2, 0, 1): "50 7 9", (4, 1): "7 400"}
+        if not original_labels:
+            lines = {c: " ".join(map(str, sorted(c))) for c in lines}
+        order = sorted(cliques, key=sorted) if canonical else cliques
+        assert by_emit.getvalue() == "".join(lines[c] + "\n" for c in order)
 
     def test_original_labels_requires_labels(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,12 @@ class CollectSink(P.CliqueSink):
         self.cliques.append(clique)
 
 
+def ascending(stream) -> list[tuple[int, ...]]:
+    """The stream, order kept, with each clique's ids sorted: the kernel
+    emits a clique in the order its vertices joined K."""
+    return [tuple(sorted(c)) for c in stream]
+
+
 def package_env() -> dict[str, str]:
     """The environment for a fresh interpreter that imports the package under test."""
     src = os.path.dirname(os.path.dirname(P.__file__))
