@@ -680,14 +680,14 @@ class TestEmittedCliquesAreMaximal:
         assert len(sink.cliques) == len(set(sink.cliques))
 
 
-class TestEmitOnlySinksGetAscendingTuples:
-    """A sink that overrides only emit() gets every clique as an ascending
-    tuple, from every engine at every thread count: the default encode()
-    sorts each one."""
+class TestEmissionsAreAscending:
+    """The emissions a sink that overrides only emit() receives are
+    ascending tuples, from every engine at every thread count: the kernel
+    emits unsorted tuples and the default encode() sorts each one."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("engine", ["ttt", "parttt", "parmce"])
-    def test_an_emit_only_sink_gets_ascending_tuples(self, engine, threads):
+    def test_raw_emissions_are_ascending_tuples(self, engine, threads):
         for seed in range(3):
             cliques = run_engine(engine, P.gen_gnp(40, 0.5, seed), threads=threads, cutoff=4)
             assert cliques
