@@ -12,8 +12,8 @@ import argparse
 import csv
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import IO
 
 from .engines import par_mce, par_ttt, ttt
@@ -47,6 +47,8 @@ class RunConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         ParallelConfig(self.threads, self.cutoff)  # raises unless both are >= 1
+        if self.threads > 1 and self.algo == "ttt":
+            raise ValueError("ttt runs on one thread; --threads above 1 needs parttt or parmce")
         if self.order is not None and self.algo != "parmce":
             raise ValueError("--order applies only to parmce")
         if self.order is not None and self.order not in ORDERINGS:
@@ -99,9 +101,8 @@ def run_on_graph(
             raise ValueError("list mode needs an output stream")
         sink = WriterSink(
             clique_out,
-            use_original_labels=cfg.original_labels,
             canonical=cfg.canonical,
-            labels=g.labels,
+            labels=g.labels if cfg.original_labels else range(g.n),
         )
     else:
         sink = HistogramSink()
@@ -185,13 +186,13 @@ def format_sweep_table(rows: list[SweepRow]) -> str:
     return "\n".join(lines)
 
 
-def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["threads", "et_seconds", "speedup", "clique_count"])
-        for r in rows:
-            w.writerow([r.threads, f"{r.et_seconds:.6f}", f"{r.speedup:.4f}",
-                        r.clique_count])
+def write_sweep_csv(rows: list[SweepRow], out: IO[str]) -> None:
+    """The sweep table as CSV; open `out` with newline=""."""
+    w = csv.writer(out)
+    w.writerow(["threads", "et_seconds", "speedup", "clique_count"])
+    for r in rows:
+        w.writerow([r.threads, f"{r.et_seconds:.6f}", f"{r.speedup:.4f}",
+                    r.clique_count])
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -275,22 +276,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         args.parser.error(str(exc))  # exits 2
 
+    # output files are opened before the enumeration, so a bad path fails at once
     if cfg.sweep:
-        rows = scaling_sweep(cfg, cfg.sweep)
-        print(format_sweep_table(rows))
-        if cfg.output:
-            write_sweep_csv(rows, cfg.output)
-            print(f"wrote {cfg.output}")
+        with open(cfg.output, "w", newline="") if cfg.output else nullcontext() as csv_out:
+            rows = scaling_sweep(cfg, cfg.sweep)
+            print(format_sweep_table(rows))
+            if csv_out:
+                write_sweep_csv(rows, csv_out)
+                print(f"wrote {cfg.output}")
         return 0
 
-    report = run(cfg)
-    report_stream = sys.stdout
-    if cfg.mode == "list" and cfg.output is None:
-        report_stream = sys.stderr  # keep the clique listing clean on stdout
-    print(report.as_kv_text(include_histogram=cfg.mode == "histogram"),
-          file=report_stream)
-    if report_json:
-        Path(report_json).write_text(report.as_json() + "\n")
+    with open(report_json, "w") if report_json else nullcontext() as json_out:
+        report = run(cfg)
+        report_stream = sys.stdout
+        if cfg.mode == "list" and cfg.output is None:
+            report_stream = sys.stderr  # keep the clique listing clean on stdout
+        print(report.as_kv_text(include_histogram=cfg.mode == "histogram"),
+              file=report_stream)
+        if json_out:
+            json_out.write(report.as_json() + "\n")
     return 0
 
 

@@ -373,7 +373,8 @@ def subproblem_for_vertex(g: Graph, rank: RankAssignment, v: int) -> Subproblem:
     """The vertex-v decomposition root, par_mce's vertex task v: K={v}, and
     Γ(v) split into the vertices after v in the rank order (cand) and
     before it (fini)."""
-    g._check_vertex(v)
+    if not 0 <= v < g.n:
+        raise IndexError(f"vertex {v} out of range [0, {g.n})")
     kv = rank.key(v)
     cand = frozenset(w for w in g.adj_sets[v] if rank.key(w) > kv)
     return Subproblem(frozenset({v}), cand, g.adj_sets[v] - cand)

@@ -3,8 +3,8 @@
 Vertices are relabeled to 0..n-1 in first-appearance order at load time so
 that downstream algorithms can use array-indexed per-vertex tables. Each
 vertex stores one thing: the frozenset of its neighbors, whose expected
-O(1) membership is what makes the kernel's `cand ∩ Γ(v)` cheap. Queries
-that promise an order (`neighbors`, `edges`) sort on the fly.
+O(1) membership is what makes the kernel's `cand ∩ Γ(v)` cheap. `edges`,
+which promises an order, sorts on the fly.
 
 Construction collects each vertex's neighbors in a plain list (duplicates
 allowed) and then freezes the lists one vertex at a time, dropping each
@@ -77,24 +77,6 @@ class Graph:
         return tuple(tuple(sorted(s)) for s in self.adj_sets)
 
     # -- queries -----------------------------------------------------------
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range [0, {self.n})")
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Ascending neighbor ids of v."""
-        self._check_vertex(v)
-        return tuple(sorted(self.adj_sets[v]))
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adj_sets[v])
-
-    def adjacent(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return v in self.adj_sets[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending lexicographic."""

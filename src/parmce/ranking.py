@@ -19,7 +19,6 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class RankAssignment:
-    strategy: str
     values: tuple[int, ...]
 
     def key(self, v: int) -> int:
@@ -28,7 +27,7 @@ class RankAssignment:
 
 
 def degree_rank(g: Graph) -> RankAssignment:
-    return RankAssignment("degree", tuple(len(s) for s in g.adj_sets))
+    return RankAssignment(tuple(len(s) for s in g.adj_sets))
 
 
 def triangle_counts(g: Graph) -> RankAssignment:
@@ -46,7 +45,7 @@ def triangle_counts(g: Graph) -> RankAssignment:
                 c = len(nu & adj[v])
                 acc[u] += c
                 acc[v] += c
-    return RankAssignment("triangle", tuple(x // 2 for x in acc))
+    return RankAssignment(tuple(x // 2 for x in acc))
 
 
 def degeneracy_rank(g: Graph) -> RankAssignment:
@@ -75,7 +74,7 @@ def degeneracy_rank(g: Graph) -> RankAssignment:
                 if deg[w] > d:
                     deg[w] -= 1
                     buckets[deg[w]].append(w)
-    return RankAssignment("degeneracy", tuple(deg))
+    return RankAssignment(tuple(deg))
 
 
 _STRATEGIES = {

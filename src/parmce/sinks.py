@@ -74,16 +74,6 @@ class HistogramSink(CliqueSink):
     def count(self) -> int:
         return sum(self.histogram.values())
 
-    @property
-    def max_size(self) -> int:
-        return max(self.histogram) if self.histogram else 0
-
-    @property
-    def avg_size(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return sum(s * c for s, c in self.histogram.items()) / self.count
-
 
 # One counter: a histogram's total is the clique count.
 CountingSink = HistogramSink
@@ -92,27 +82,22 @@ CountingSink = HistogramSink
 class WriterSink(HistogramSink):
     """Writes one clique per line, ascending ids space-separated.
 
-    It keeps the size histogram of what it writes. A line sorts the dense
-    ids before use_original_labels maps them back through the load-time
-    label map. canonical=True buffers everything and writes the cliques
-    sorted by their ascending dense-id tuples (stable golden files across
-    thread budgets and engines). The engines have each chunk's lines
-    formatted (encode, in the worker on the pool) and written as one block
-    (take); canonical chunks travel as sorted tuples. The first write
-    error (a full disk, a reader that closed the pipe) raises from the
-    emit, take or finalize that hit it, so the enumeration stops at once
-    instead of running on into a dead stream.
+    It keeps the size histogram of what it writes. `labels[v]` is the
+    name written for dense id v (the graph's `labels` for input labels,
+    `range(n)` for dense ids); None writes `str(v)`. A line sorts the
+    dense ids before naming them. canonical=True buffers everything and
+    writes the cliques sorted by their ascending dense-id tuples (stable
+    golden files across thread budgets and engines). The engines have
+    each chunk's lines formatted (encode, in the worker on the pool) and
+    written as one block (take); canonical chunks travel as sorted tuples.
+    The first write error (a full disk, a reader that closed the pipe)
+    raises from the emit, take or finalize that hit it, so the enumeration
+    stops at once instead of running on into a dead stream.
     """
 
     def __init__(
-        self,
-        out: IO[str],
-        use_original_labels: bool = False,
-        canonical: bool = False,
-        labels: Sequence[int] | None = None,
+        self, out: IO[str], canonical: bool = False, labels: Sequence[int] | None = None
     ) -> None:
-        if use_original_labels and labels is None:
-            raise ValueError("use_original_labels requires the graph's labels")
         super().__init__()
         self.out = out
         self.canonical = canonical
@@ -121,8 +106,7 @@ class WriterSink(HistogramSink):
         # of str() on every id of every line.
         self._name: Callable[[int], str] = str
         if labels is not None:
-            names = labels if use_original_labels else range(len(labels))
-            self._name = [str(x) for x in names].__getitem__
+            self._name = [str(x) for x in labels].__getitem__
 
     def _line(self, clique: tuple[int, ...]) -> str:
         return " ".join(map(self._name, sorted(clique))) + "\n"
@@ -183,11 +167,12 @@ class EnumerationReport:
     def from_histogram(
         cls, sink: HistogramSink, rt: float, et: float, tt: float
     ) -> "EnumerationReport":
+        hist, count = sink.histogram, sink.count
         return cls(
-            clique_count=sink.count,
-            size_histogram=dict(sorted(sink.histogram.items())),
-            max_clique_size=sink.max_size,
-            avg_clique_size=sink.avg_size,
+            clique_count=count,
+            size_histogram=dict(sorted(hist.items())),
+            max_clique_size=max(hist, default=0),
+            avg_clique_size=sum(s * c for s, c in hist.items()) / count if count else 0.0,
             rt_seconds=rt,
             et_seconds=et,
             tt_seconds=tt,

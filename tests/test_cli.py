@@ -40,6 +40,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(gen="complete:4", threads=0)
 
+    def test_ttt_runs_on_one_thread(self):
+        with pytest.raises(ValueError, match="--threads above 1 needs parttt or parmce"):
+            RunConfig(gen="complete:4", algo="ttt", threads=2)
+        assert RunConfig(gen="complete:4", algo="ttt", threads=1).threads == 1
+        # a bad count is reported as such, whatever the algorithm
+        with pytest.raises(ValueError, match="must be >= 1"):
+            RunConfig(gen="complete:4", algo="ttt", threads=0)
+
     def test_cutoff_positive(self):
         with pytest.raises(ValueError, match="cutoff"):
             RunConfig(gen="complete:4", algo="ttt", cutoff=0)
@@ -105,7 +113,8 @@ class TestRun:
 
     def test_timing_split_shape(self):
         for algo in ("ttt", "parttt", "parmce"):
-            rep = run(RunConfig(gen="gnp:120,0.2,3", algo=algo, threads=2))
+            threads = 1 if algo == "ttt" else 2
+            rep = run(RunConfig(gen="gnp:120,0.2,3", algo=algo, threads=threads))
             assert rep.tt_seconds == pytest.approx(
                 rep.rt_seconds + rep.et_seconds,
                 rel=0.01,
@@ -302,6 +311,13 @@ class TestMainEntry:
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    def test_ttt_with_threads_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gen", "gnp:30,0.3,1", "--algo", "ttt", "--threads", "4",
+                  "--mode", "histogram"])
+        assert exc.value.code == 2
+        assert "ttt runs on one thread" in capsys.readouterr().err
+
     def test_config_error_prints_the_run_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--gen", "complete:3", "--cutoff", "0"])
@@ -324,6 +340,22 @@ class TestMainEntry:
         data = json.loads(path.read_text())
         assert data["clique_count"] == 1
         assert data["max_clique_size"] == 4
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--gen", "moonmoser:3", "--report-json", "/nonexistent/x.json"],
+         ["--gen", "moonmoser:3", "--algo", "parmce", "--sweep", "1,2",
+          "--output", "/nonexistent/s.csv"]],
+    )
+    def test_bad_output_path_fails_before_any_engine_runs(self, args, capsys, monkeypatch):
+        ran = []
+        for name in ("ttt", "par_ttt", "par_mce"):
+            monkeypatch.setattr(parmce.cli, name, lambda *a, name=name: ran.append(name))
+        assert main(["run", *args]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "/nonexistent/" in captured.err
+        assert ran == []
+        assert "clique_count" not in captured.out and "speedup" not in captured.out
 
     def test_sweep_writes_table_and_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

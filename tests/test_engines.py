@@ -601,6 +601,11 @@ class TestSubproblemForVertex:
         for v in range(g.n):
             P.subproblem_for_vertex(g, rank, v).validate(g)
 
+    def test_out_of_range(self):
+        for v in (-1, 3):
+            with pytest.raises(IndexError, match="out of range"):
+                P.subproblem_for_vertex(K3, P.degree_rank(K3), v)
+
 
 class TestParMCE:
     def per_vertex_emissions(self, g, rank, config=P.ParallelConfig()):
@@ -666,7 +671,7 @@ class TestParMCE:
             assert a == b == c
 
     def test_rank_length_mismatch_rejected(self):
-        bad = P.RankAssignment("degree", (0, 0))
+        bad = P.RankAssignment((0, 0))
         with pytest.raises(ValueError):
             P.par_mce(K3, bad, P.CountingSink())
 

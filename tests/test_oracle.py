@@ -44,7 +44,7 @@ class TestBruteForce:
             members = set(c)
             for a in c:
                 for b in c:
-                    assert a == b or g.adjacent(a, b)
+                    assert a == b or b in g.adj_sets[a]
             for w in range(g.n):
                 if w not in members:
                     assert not members <= g.adj_sets[w]

@@ -66,4 +66,4 @@ class TestParPivot:
             scores = {w: len(cand & g.adj_sets[w]) for w in cand | fini}
             assert all(scores[pivot] >= t for t in scores.values())
             for w, t in scores.items():
-                assert 0 <= t <= min(len(cand), g.degree(w))
+                assert 0 <= t <= min(len(cand), len(g.adj_sets[w]))

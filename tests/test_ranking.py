@@ -108,15 +108,15 @@ class TestDegeneracyRank:
 
 class TestRankKey:
     def test_examples(self):
-        r = RankAssignment("degree", (1, 2, 1))
+        r = RankAssignment((1, 2, 1))
         assert r.key(0) < r.key(2)
         assert not r.key(1) < r.key(0)
-        r2 = RankAssignment("degree", (5, 3))
+        r2 = RankAssignment((5, 3))
         assert r2.key(1) < r2.key(0)
 
     @given(st.lists(st.integers(0, 5), min_size=2, max_size=30))
     def test_strict_total_order(self, values):
-        r = RankAssignment("degree", tuple(values))
+        r = RankAssignment(tuple(values))
         n = len(values)
         for u in range(n):
             assert not r.key(u) < r.key(u)
@@ -133,8 +133,9 @@ def test_compute_rank_dispatch():
     import parmce.cli
 
     assert ORDERINGS == parmce.cli.ORDERINGS == ("degree", "triangle", "degeneracy")
-    g = P.gen_complete(3)
-    for name in ORDERINGS:
-        assert P.compute_rank(g, name).strategy == name
+    # a triangle with a pendant vertex: the three metrics all differ
+    g = P.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    want = {"degree": (3, 2, 2, 1), "triangle": (1, 1, 1, 0), "degeneracy": (2, 2, 2, 1)}
+    assert {name: P.compute_rank(g, name).values for name in ORDERINGS} == want
     with pytest.raises(ValueError, match="nope"):
         P.compute_rank(g, "nope")

@@ -35,14 +35,19 @@ class TestCountingSink:
         assert s.encode([(0, 1), (1, 2, 3)]) == Counter({2: 1, 3: 1})
 
 
+def report_sizes(s: P.HistogramSink) -> tuple[int, float]:
+    """The report's max and average clique size, computed from s.histogram."""
+    rep = P.EnumerationReport.from_histogram(s, rt=0.0, et=0.0, tt=0.0)
+    return rep.max_clique_size, rep.avg_clique_size
+
+
 class TestHistogramSink:
     def test_two_edges(self):
         s = P.HistogramSink()
         s.emit((0, 1))
         s.emit((1, 2))
         assert dict(s.histogram) == {2: 2}
-        assert s.max_size == 2
-        assert s.avg_size == 2.0
+        assert report_sizes(s) == (2, 2.0)
 
     def test_k5(self):
         s = P.HistogramSink()
@@ -59,12 +64,12 @@ class TestHistogramSink:
         s = P.HistogramSink()
         s.take(Counter({2: 1, 3: 1}))
         assert s.count == 2
-        assert s.avg_size == 2.5
+        assert report_sizes(s) == (3, 2.5)
 
     def test_empty(self):
         s = P.HistogramSink()
-        assert s.max_size == 0
-        assert s.avg_size == 0.0
+        assert s.count == 0
+        assert report_sizes(s) == (0, 0.0)
 
 
 class TestWriterSink:
@@ -85,7 +90,7 @@ class TestWriterSink:
 
     def test_original_labels(self):
         out = io.StringIO()
-        s = P.WriterSink(out, use_original_labels=True, labels=(5, 7))
+        s = P.WriterSink(out, labels=(5, 7))
         s.emit((0, 1))
         s.finalize()
         assert out.getvalue() == "5 7\n"
@@ -95,7 +100,8 @@ class TestWriterSink:
     def test_encoded_chunks_write_what_emit_writes(self, original_labels, canonical):
         # the kernel emits a clique in the order its vertices joined K
         cliques = [(3, 2), (2, 0, 1), (4, 1)]
-        kw = dict(use_original_labels=original_labels, canonical=canonical, labels=(50, 7, 9, 11, 400))
+        labels = (50, 7, 9, 11, 400) if original_labels else range(5)
+        kw = dict(canonical=canonical, labels=labels)
         by_emit, by_chunk = io.StringIO(), io.StringIO()
         emitted = P.WriterSink(by_emit, **kw)
         for c in cliques:
@@ -115,10 +121,6 @@ class TestWriterSink:
             lines = {c: " ".join(map(str, sorted(c))) for c in lines}
         order = sorted(cliques, key=sorted) if canonical else cliques
         assert by_emit.getvalue() == "".join(lines[c] + "\n" for c in order)
-
-    def test_original_labels_requires_labels(self):
-        with pytest.raises(ValueError):
-            P.WriterSink(io.StringIO(), use_original_labels=True)
 
     def test_first_failing_write_raises_from_emit(self):
         class FullAfterTwo(io.StringIO):

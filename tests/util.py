@@ -86,9 +86,10 @@ def canonical_run(engine: str, g: P.Graph, **kw) -> P.canonical_family:
 
 def triangle_total_by_triples(g: P.Graph) -> int:
     """Count triangles by checking every vertex triple."""
+    adj = g.adj_sets
     total = 0
     for a, b, c in combinations(range(g.n), 3):
-        if g.adjacent(a, b) and g.adjacent(a, c) and g.adjacent(b, c):
+        if b in adj[a] and c in adj[a] and c in adj[b]:
             total += 1
     return total
 
@@ -96,7 +97,7 @@ def triangle_total_by_triples(g: P.Graph) -> int:
 def peel_core_numbers(g: P.Graph) -> tuple[int, ...]:
     """Core numbers by repeated minimum-degree removal with a running max."""
     remaining = set(range(g.n))
-    deg = {v: g.degree(v) for v in remaining}
+    deg = {v: len(g.adj_sets[v]) for v in remaining}
     core: dict[int, int] = {}
     level = 0
     while remaining:
@@ -238,7 +239,7 @@ def assert_all_maximal_cliques(g: P.Graph, cliques) -> None:
     for c in cliques:
         members = set(c)
         for a, b in combinations(c, 2):
-            assert g.adjacent(a, b), f"{c} is not a clique ({a},{b} missing)"
+            assert b in g.adj_sets[a], f"{c} is not a clique ({a},{b} missing)"
         for w in range(g.n):
             if w in members:
                 continue
