@@ -149,20 +149,18 @@ class SweepRow:
     clique_count: int
 
 
-def scaling_sweep(cfg: RunConfig, thread_list: list[int]) -> list[SweepRow]:
-    """Sequential baseline once, then the parallel engine per thread count.
+def scaling_sweep(cfg: RunConfig) -> list[SweepRow]:
+    """Sequential baseline once, then the parallel engine per count in cfg.sweep.
 
     Speedup is baseline enumeration time over parallel enumeration time.
     Counts must agree across every row.
     """
-    if cfg.algo == "ttt":
-        raise ValueError("--sweep needs a parallel algorithm (parttt or parmce)")
     g = load_graph(cfg)
 
     base = run_on_graph(g, replace(cfg, algo="ttt", order=None, threads=1, sweep=None))
 
     rows = []
-    for t in thread_list:
+    for t in cfg.sweep:
         rep = run_on_graph(g, replace(cfg, threads=t))
         if rep.clique_count != base.clique_count:
             raise RuntimeError(
@@ -279,7 +277,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # output files are opened before the enumeration, so a bad path fails at once
     if cfg.sweep:
         with open(cfg.output, "w", newline="") if cfg.output else nullcontext() as csv_out:
-            rows = scaling_sweep(cfg, cfg.sweep)
+            rows = scaling_sweep(cfg)
             print(format_sweep_table(rows))
             if csv_out:
                 write_sweep_csv(rows, csv_out)

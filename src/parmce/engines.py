@@ -395,8 +395,6 @@ def par_mce(
     """
     if len(rank.values) != g.n:
         raise ValueError("rank assignment does not match graph size")
-    if g.n == 0:
-        return
     key = list(map(rank.key, range(g.n)))
     order = sorted(range(g.n), key=key.__getitem__)
     _run(g, sink, config, order, key)

@@ -110,11 +110,11 @@ def load_edge_list(stream: IO[bytes] | IO[str] | Iterable[str | bytes]) -> Graph
     """Parse whitespace-separated "u v" lines into a cleaned Graph.
 
     Lines starting with '#' or '%' are comments (SNAP and KONECT headers);
-    blank lines are skipped. Labels are remapped to dense ids in
-    first-appearance order. Self-loops are dropped; duplicate and reversed
-    edges merge. Empty input yields the empty graph. One pass: each line's
-    edge is appended to its endpoints' neighbor lists, which `Graph` then
-    freezes one vertex at a time.
+    blank lines are skipped. Labels, non-negative integers in ASCII digits,
+    are remapped to dense ids in first-appearance order. Self-loops are
+    dropped; duplicate and reversed edges merge. Empty input yields the
+    empty graph. One pass: each line's edge is appended to its endpoints'
+    neighbor lists, which `Graph` then freezes one vertex at a time.
     """
     ids: dict[int, int] = {}
     adj: list[list[int]] = []
@@ -133,6 +133,8 @@ def load_edge_list(stream: IO[bytes] | IO[str] | Iterable[str | bytes]) -> Graph
                 line_no, f"expected two labels, got {len(parts)}: {line!r}"
             )
         try:
+            if not line.isascii() or "_" in line:  # int() reads "1_0" and "١" too
+                raise ValueError(line)
             a, b = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise EdgeListParseError(line_no, f"non-integer label in {line!r}") from exc

@@ -1,10 +1,12 @@
 import dataclasses
 import io
+import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from hashlib import sha256
 
 import pytest
 
@@ -186,8 +188,8 @@ class TestRun:
 
 class TestScalingSweep:
     def test_rows_and_definition(self):
-        cfg = RunConfig(gen="gnp:150,0.25,9", algo="parmce", order="degree")
-        rows = scaling_sweep(cfg, [1, 2])
+        cfg = RunConfig(gen="gnp:150,0.25,9", algo="parmce", order="degree", sweep=[1, 2])
+        rows = scaling_sweep(cfg)
         assert [r.threads for r in rows] == [1, 2]
         assert rows[0].clique_count == rows[1].clique_count
         # speedup * et is the baseline et, identical across rows
@@ -206,8 +208,8 @@ class TestScalingSweep:
             return P.EnumerationReport(clique_count=7, et_seconds=et)
 
         monkeypatch.setattr(parmce.cli, "run_on_graph", fixed_et)
-        cfg = RunConfig(gen="complete:5", algo="parmce", order="triangle", cutoff=3)
-        rows = scaling_sweep(cfg, [1, 2])
+        cfg = RunConfig(gen="complete:5", algo="parmce", order="triangle", cutoff=3, sweep=[1, 2])
+        rows = scaling_sweep(cfg)
         # speedup is the baseline's ET over the row's ET
         assert [(r.threads, r.et_seconds, r.speedup, r.clique_count) for r in rows] == [
             (1, 4.0, 0.75, 7), (2, 1.5, 2.0, 7),
@@ -220,7 +222,7 @@ class TestScalingSweep:
 
     def test_sweep_rejects_sequential_algo(self):
         with pytest.raises(ValueError):
-            scaling_sweep(RunConfig(gen="complete:5", algo="ttt"), [1])
+            RunConfig(gen="complete:5", algo="ttt", sweep=[1])
 
 
 class TestRunOptions:
@@ -335,8 +337,6 @@ class TestMainEntry:
         path = tmp_path / "rep.json"
         assert main(["run", "--gen", "complete:4", "--algo", "ttt",
                      "--report-json", str(path)]) == 0
-        import json
-
         data = json.loads(path.read_text())
         assert data["clique_count"] == 1
         assert data["max_clique_size"] == 4
@@ -458,6 +458,85 @@ class TestMainEntry:
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # no worker is left in the group
 
+# sha256 of the raw listing on stdout, by (gen, lines, --algo and options); the
+# order depends only on vertex ids (README, Tests: when a pin may change)
+RAW_PINS = {
+    ("gnp:200,0.3,3", 19595, "ttt"):
+        "832a7021c7ab296ca5cefd21afba5107120b9c2717bc55263722b08a04e9bcbe",
+    ("gnp:200,0.3,3", 19595, "parttt --threads 1"):
+        "832a7021c7ab296ca5cefd21afba5107120b9c2717bc55263722b08a04e9bcbe",
+    ("gnp:200,0.3,3", 19595, "parmce --order degeneracy --threads 1"):
+        "b87771537bd285b23db6f780b88d73fa26bf5c83d169c5522255331179b9d87d",
+    ("gnp:200,0.3,3", 19595, "parmce --order degree --threads 1"):
+        "8701b41482c1441324ed15e0ad39c193339497a811361946371cd8d12a3e57cd",
+    ("gnp:200,0.3,3", 19595, "parmce --order triangle --threads 1"):
+        "6c30b5a2382d9d422ece6efe868c2e5d5a7c8261afc1b8356095f09bb7b54936",
+    # most tasks of gnp:2000,0.005,5 have candidates that share no edge
+    ("gnp:2000,0.005,5", 9605, "ttt"):
+        "52a70fcf30523101af6674ab85bedd79c6f66ff07e34822e8458685f645e68ce",
+    ("gnp:2000,0.005,5", 9605, "parttt --threads 1"):
+        "52a70fcf30523101af6674ab85bedd79c6f66ff07e34822e8458685f645e68ce",
+    ("gnp:2000,0.005,5", 9605, "parmce --order degeneracy --threads 1"):
+        "b07a185eba3985439000f09d938ad810e24dcd418ac0222ab09324072127b23a",
+    ("gnp:2000,0.005,5", 9605, "parmce --order degree --threads 1"):
+        "cdc290565bb12eb759038700ec9cb230dcd7897160a70e3401ab577385a256ff",
+    # every vertex of moonmoser:7 has the same degree, so the root's pivot is a tie
+    ("moonmoser:7", 2187, "ttt"):
+        "28d3b03fd9b0e65878e77968ba3051cae6638189d2821ce5f79355059e4fa50a",
+    ("moonmoser:7", 2187, "parttt --threads 1"):
+        "28d3b03fd9b0e65878e77968ba3051cae6638189d2821ce5f79355059e4fa50a",
+}
+
+
+class TestPinnedListings:
+    @pytest.mark.parametrize("gen, lines, runs", [
+        # 2 and 3 workers, the latter odd; at cutoff 3 the kernel donates nodes too
+        ("moonmoser:9", 19683, ["parmce --threads 2", "parttt --threads 2 --cutoff 3",
+                                "parmce --threads 3", "parttt --threads 3 --cutoff 3"]),
+        # most tasks' candidates share no edge, and the core numbers differ
+        ("gnp:2000,0.005,5", 9605, ["parmce --order degeneracy --threads 2",
+                                    "parttt --threads 2 --cutoff 3"]),
+    ])
+    def test_streamed_listing_matches_the_canonical_ttt_listing(self, tmp_path, gen, lines, runs):
+        cli(tmp_path, f"run --gen {gen} --algo ttt --mode list --canonical --output b.txt")
+        want = sorted((tmp_path / "b.txt").read_text().splitlines())
+        assert len(want) == lines
+        for algo in runs:
+            cli(tmp_path, f"run --gen {gen} --algo {algo} --mode list --output a.txt")
+            assert sorted((tmp_path / "a.txt").read_text().splitlines()) == want, algo
+
+    @pytest.mark.parametrize("gen, lines, algo", RAW_PINS)
+    def test_raw_emission_order_is_pinned(self, tmp_path, gen, lines, algo):
+        out = cli(tmp_path, f"run --gen {gen} --mode list --algo {algo}")
+        assert out.count(b"\n") == lines
+        assert sha256(out).hexdigest() == RAW_PINS[gen, lines, algo]
+
+    def test_edge_list_and_every_engine_agree_on_a_generated_graph(self, tmp_path):
+        # gnp:400,0.1,7 has no isolated vertex, so its edge list holds the whole graph
+        cli(tmp_path, "gen --gen gnp:400,0.1,7 --output g.txt")
+        # labels are numbered first-seen, so 6,523 lines are not in label order
+        out = cli(tmp_path, "run --input g.txt --algo parmce --order degeneracy --threads 2"
+                            " --mode list --canonical --original-labels")
+        assert out.count(b"\n") == 8149
+        assert sha256(out).hexdigest() == (
+            "7471adee91cadab3df29d0819a5b1e7b659596ced55c6616841c2ab8e687f49b")
+        ttt = counts(cli(tmp_path, "run --gen gnp:400,0.1,7 --algo ttt --mode histogram"))
+        assert ttt[-1].startswith("hist[")
+        assert counts(cli(tmp_path, "run --input g.txt --algo ttt --mode histogram")) == ttt
+        for algo in ("parttt", "parmce"):
+            run = f"run --gen gnp:400,0.1,7 --algo {algo} --threads 2 --mode histogram"
+            assert counts(cli(tmp_path, run)) == ttt, algo
+
+    def test_json_report_carries_the_kv_reports_count_and_histogram(self, tmp_path):
+        out = cli(tmp_path, "run --gen gnp:400,0.1,7 --algo parmce --order degeneracy"
+                            " --threads 2 --mode histogram --report-json r.json")
+        kv = dict(line.split("=", 1) for line in out.decode().splitlines())
+        hist = {k[len("hist["):-1]: int(v) for k, v in kv.items() if k.startswith("hist[")}
+        assert hist, "the kv report has no hist lines"
+        rep = json.loads((tmp_path / "r.json").read_text())
+        assert rep["clique_count"] == int(kv["clique_count"]) == sum(hist.values())
+        assert rep["size_histogram"] == hist
+
 
 def start_cli(args, **popen_kw):
     """`python -m parmce.cli run ARGS` on the package under test."""
@@ -484,3 +563,16 @@ def close_after_one_line(args, timeout):
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)  # no worker is left in the group
     return proc.returncode, err
+
+
+def cli(cwd, command):
+    """stdout of `python -m parmce.cli COMMAND` on the package under test, run in cwd."""
+    proc = subprocess.run([sys.executable, "-m", "parmce.cli", *command.split()], cwd=cwd,
+                          env=package_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def counts(report):
+    """The clique_count and hist[...] lines of a key=value report."""
+    return [ln for ln in report.decode().splitlines() if ln.startswith(("clique_count=", "hist["))]

@@ -39,6 +39,8 @@ class TestTTT:
         g = P.Graph.from_edges(0, [])
         for engine in ("ttt", "parttt", "parmce"):
             assert canonical_run(engine, g) == ()
+            if engine != "ttt":
+                assert canonical_run(engine, g, threads=2) == ()
 
     def test_unsatisfiable_subproblem_emits_nothing(self):
         g = P.Graph.from_edges(2, [(0, 1)])

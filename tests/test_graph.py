@@ -52,7 +52,9 @@ class TestLoadEdgeList:
 
     @pytest.mark.parametrize(
         "text,line",
-        [("0 x\n", 1), ("0 1\n1 2 3\n", 2), ("0 1\nfoo\n", 2), ("-1 2\n", 1)],
+        [("0 x\n", 1), ("0 1\n1 2 3\n", 2), ("0 1\nfoo\n", 2), ("-1 2\n", 1),
+         # int() reads "1_0" as 10, and the Arabic-Indic digit "١" as 1
+         ("1_0 5\n10 6\n", 1), ("١ 2\n", 1)],
     )
     def test_malformed_names_line(self, text, line):
         with pytest.raises(P.EdgeListParseError) as exc:
