@@ -21,21 +21,30 @@ par_mce  - one vertex task per vertex v of the whole graph (clique seed
            exactly once, in the task of its lowest-ranked member; tasks run
            costliest-first.
 
-The kernel searches a task (K, cand, fini) in a frame: cand ∪ fini in
-ascending id order, bit i for the i-th vertex, and each vertex's
-neighbours in the frame as one int bit mask. A vertex task, a donated
-node and a subproblem with q in K lie inside Γ(q), so their frames have
-at most Δ bits; an explicit subproblem with an empty K is framed whole,
-and the whole graph's root is never framed. Pivot ties and branch order
-follow vertex ids, so the search tree and the order of the cliques are
-those of the same search on id sets; each clique is emitted unsorted, in
-the order its vertices joined K. A task whose candidates share no edge,
-and a child with fewer than three candidates, are decided in closed
-form; finished vertices with no candidate neighbour are left out of the
-frame. A worker searches the root of each task it takes; a node below it
-with |cand| >= cutoff, met while the driver holds fewer than 2 × workers
-batches, is donated as one task, so a donated task's K is longer than
-its donor's. At one thread nothing is donated.
+The kernel searches a task (K, cand, fini) in a frame: a list F of ids
+in ascending order, bit i standing for F[i], one int bit mask per
+vertex for its neighbours, and cand and fini as two masks. A frame's
+rows come from one of two sources, chosen once per graph by its density
+(`_whole_rows_pay`). On a graph with n <= 64 × average degree (n² <=
+128 m), the handler builds one row per vertex over the whole graph, in
+the driver before the pool forks, so workers share it copy-on-write; F
+is every id, and a task's frame costs only its two masks. The table
+holds n²/8 <= 16 m bytes of bits, 8 per adjacency entry. On a sparser
+graph each task builds its own frame: F is cand ∪ fini, and each row
+covers only F. A vertex task, a donated node and a subproblem with q in
+K lie inside Γ(q), so their frames have at most Δ members (a per-task
+frame at most Δ bits); an explicit subproblem with an empty K is framed
+whole, and the whole graph's root is never framed. Either way pivot ties
+and branch order follow vertex ids, so the search tree and the order of
+the cliques are those of the same search on id sets; each clique is
+emitted unsorted, in the order its vertices joined K. A task whose
+candidates share no edge, and a child with fewer than three candidates,
+are decided in closed form; finished vertices with no candidate
+neighbour are left out of the frame. A worker searches the root of each
+task it takes; a node below it with |cand| >= cutoff, met while the
+driver holds fewer than 2 × workers batches, is donated as one task, so
+a donated task's K is longer than its donor's. At one thread nothing is
+donated.
 
 All engines emit the same set of cliques for the same graph; only order
 and scheduling differ.
@@ -57,6 +66,8 @@ Emit = Callable[[tuple[int, ...]], None]
 # A node's split hook split(K, cand, fini, F): True if it took the node away;
 # cand and fini are bit masks over the frame F.
 Split = Callable[[list[int], int, int, Sequence[int]], bool]
+# Whole-graph rows (ids, rows): rows[v] is the bit mask of Γ(v) over ids.
+Rows = tuple[list[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,14 @@ class Subproblem:
 
 
 def _ids(F: Sequence[int], mask: int) -> set[int]:
-    """The vertex ids of a frame's bit mask."""
-    return {v for i, v in enumerate(F) if mask >> i & 1}
+    """The vertex ids of a frame's bit mask, in time proportional to its
+    set bits, not to the frame's width."""
+    ids = set()
+    while mask:
+        low = mask & -mask
+        ids.add(F[low.bit_length() - 1])
+        mask ^= low
+    return ids
 
 
 def _kernel(
@@ -105,14 +122,17 @@ def _kernel(
     """Pivoted backtracking on the bit masks of a frame; cand has an edge.
 
     Bit i stands for vertex F[i], F ascending, and rows[i] is the mask of
-    Γ(F[i]) in the frame (for a vertex that starts in fini, only its cand
-    part). The pivot is the first bit of cand | fini with the most of cand
-    in its row, and the branches are the bits of cand minus the pivot's row
-    in ascending order, so ties, branches and the order of the cliques
-    follow vertex ids exactly as a search over id sets would; each clique
-    is the tuple (*K, ...) in K's order, unsorted. A child with fewer than
-    three candidates is decided in place, in closed form; any other child
-    with at least cutoff candidates asks the split hook (`Split`) first.
+    Γ(F[i]) in the frame: the whole neighbourhood on whole-graph rows, and
+    in a per-task frame only the cand part for a vertex that starts in
+    fini. The kernel reads a row only through cand or fini, so both give
+    the same search. The pivot is the first bit of cand | fini with the
+    most of cand in its row, and the branches are the bits of cand minus
+    the pivot's row in ascending order, so ties, branches and the order of
+    the cliques follow vertex ids exactly as a search over id sets would;
+    each clique is the tuple (*K, ...) in K's order, unsorted. A child with
+    fewer than three candidates is decided in place, in closed form; any
+    other child with at least cutoff candidates asks the split hook
+    (`Split`) first.
     """
     best = -1
     m = cand | fini
@@ -161,13 +181,21 @@ def _kernel(
 
 
 def _frame(
-    adj: tuple[frozenset[int], ...], cand: set[int], fini: list[int]
-) -> tuple[list[int], list[int], int, int]:
-    """(F, rows, cand mask, fini mask) of a task whose fini all touch cand.
+    adj: tuple[frozenset[int], ...], whole: Rows | None, cand: set[int], fini: set[int]
+) -> tuple[Sequence[int], Sequence[int], int, int]:
+    """(F, rows, cand mask, fini mask) of a task; fini vertices with no
+    neighbour in cand are left out.
 
-    F is cand ∪ fini ascending. A fini vertex's row keeps only its cand
-    part, the only part the kernel reads. The bit table is the frame's own.
+    With the whole-graph rows (`_graph_rows`), F is every id and the rows
+    are shared, so only the two masks are built. Otherwise the frame is the
+    task's own: F is cand ∪ fini ascending, and a fini vertex's row keeps
+    only its cand part, the only part the kernel reads.
     """
+    if whole is not None:
+        F, rows = whole
+        cmask = sum(map((1).__lshift__, cand))
+        return F, rows, cmask, sum(1 << w for w in fini if rows[w] & cmask)
+    fini = [w for w in fini if not cand.isdisjoint(adj[w])]
     S = cand.union(fini)
     F = sorted(S)
     get = {v: 1 << i for i, v in enumerate(F)}.__getitem__
@@ -176,8 +204,24 @@ def _frame(
     return F, rows, ((1 << len(F)) - 1) ^ fmask, fmask
 
 
+def _whole_rows_pay(n: int, m: int) -> bool:
+    """Whether a graph's tasks search whole-graph rows: n <= 64 × average
+    degree, i.e. n² <= 128 m. Its n rows of n bits then hold n²/8 <= 16 m
+    bytes of bits, 8 per adjacency entry, less than its frozensets hold."""
+    return n * n <= 128 * m
+
+
+def _graph_rows(adj: tuple[frozenset[int], ...]) -> Rows | None:
+    """(ids, rows) when `_whole_rows_pay`, else None: ids is [0, ..., n-1]
+    and rows[v] is Γ(v) as a bit mask over ids, bit u for vertex u."""
+    if not _whole_rows_pay(len(adj), sum(map(len, adj)) // 2):
+        return None
+    return list(range(len(adj))), [sum(map((1).__lshift__, nbrs)) for nbrs in adj]
+
+
 def _task(
     adj: tuple[frozenset[int], ...],
+    whole: Rows | None,
     K: list[int],
     cand: set[int],
     fini: set[int],
@@ -192,7 +236,8 @@ def _task(
     yields K iff fini is empty. One whose candidates share no edge is
     decided without a search: any pivot branches on the candidates outside
     its neighbourhood, ascending, and each child has an empty cand, so q
-    yields K + q iff no fini vertex touches q. Any other task goes to the
+    yields K + q iff no fini vertex touches q. Any other task is framed on
+    the graph's rows, whole (not None) or its own, and goes to the
     kernel, after the fini vertices with no neighbour in cand are dropped:
     none reaches a descendant's fini, and one can win the pivot only at
     score 0, where every pivot branches on all of cand.
@@ -206,9 +251,7 @@ def _task(
             if fini.isdisjoint(adj[q]):
                 emit((*K, q))
         return
-    F, rows, cmask, fmask = _frame(
-        adj, cand, [w for w in fini if not cand.isdisjoint(adj[w])]
-    )
+    F, rows, cmask, fmask = _frame(adj, whole, cand, fini)
     _kernel(F, rows, K, cmask, fmask, emit, split, cutoff)
 
 
@@ -291,9 +334,11 @@ def _make_task_handler(g: Graph, key: Sequence[int], cutoff: int) -> Callable:
     searched here. A node below it with |cand| >= cutoff checks hungry()
     once; only when the driver holds fewer than 2 × workers batches is the
     node given to spawn, as one triple read off the masks. Otherwise it is
-    searched in place.
+    searched in place. The graph's row source (`_graph_rows`) is chosen and
+    built here, once per run, in the driver, so pool workers inherit it.
     """
     adj = g.adj_sets
+    whole = _graph_rows(adj)
 
     def handle(task, emit, spawn, hungry) -> None:
         def split(K: list[int], cand: int, fini: int, F: Sequence[int]) -> bool:
@@ -306,7 +351,7 @@ def _make_task_handler(g: Graph, key: Sequence[int], cutoff: int) -> Callable:
             K, cand, fini = _vertex_child(adj, key, task)
         else:
             K, cand, fini = task
-        _task(adj, list(K), cand, fini, emit, split, cutoff)
+        _task(adj, whole, list(K), cand, fini, emit, split, cutoff)
 
     return handle
 

@@ -1,12 +1,15 @@
 import os
+import sys
 from itertools import count
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import parmce as P
 import parmce.engines as engines
-from parmce.engines import _make_task_handler, _root_tasks, _task, _vertex_child
+from parmce.cli import parse_generator_spec
+from parmce.engines import _graph_rows, _make_task_handler, _root_tasks, _task, _vertex_child
 
 from util import (
     CollectSink,
@@ -304,17 +307,26 @@ def search_as_vertex_tasks(adj, K, cand, fini, emit, split, cutoff) -> None:
     vertex) as the vertex tasks of its branch vertices (`_root_tasks`),
     and any other subproblem as one task. The subproblem's root and each
     task's root are offered to the hook here when they have >= cutoff
-    candidates, as in `reference_ttt`; `_task` offers the nodes below."""
+    candidates, as in `reference_ttt`; `_task` offers the nodes below.
+    Every task is searched on the graph's row source (`_graph_rows`), as
+    the task handler does."""
+    whole = _graph_rows(adj)
     if len(cand) >= cutoff:
         split(K, cand, fini)
     if K or fini or len(cand) < len(adj):
-        _task(adj, K, cand, fini, emit, split, cutoff)
+        _task(adj, whole, K, cand, fini, emit, split, cutoff)
         return
     ext, key = _root_tasks(adj)
     for Kq, cq, fq in (_vertex_child(adj, key, q) for q in ext):
         if len(cq) >= cutoff:
             split(list(Kq), cq, fq)
-        _task(adj, list(Kq), cq, fq, emit, split, cutoff)
+        _task(adj, whole, list(Kq), cq, fq, emit, split, cutoff)
+
+
+def row_source(whole: bool):
+    """Patch the row rule to pick whole-graph rows (True) or per-task
+    frames (False), whatever the graph's density."""
+    return mock.patch.object(engines, "_whole_rows_pay", lambda n, m: whole)
 
 
 def stream_and_nodes(search, g: P.Graph, sp: P.Subproblem):
@@ -335,7 +347,8 @@ def stream_and_nodes(search, g: P.Graph, sp: P.Subproblem):
 class TestBitKernel:
     """The bit-mask kernel against the set kernel it replaced
     (`util.reference_ttt`): the same emission stream, order included, once
-    each clique's ids are sorted, and the same search tree, node for node."""
+    each clique's ids are sorted, and the same search tree, node for node,
+    on whole-graph rows and on per-task frames alike."""
 
     @given(
         st.integers(0, 10_000),
@@ -351,20 +364,26 @@ class TestBitKernel:
         assume(sp.K or sp.cand or sp.fini)
         expected: list[tuple[int, ...]] = []
         reference_ttt(g.adj_sets, sorted(sp.K), set(sp.cand), set(sp.fini), expected.append)
-        got = CollectSink()
-        P.ttt(g, sp, got)
-        assert got.cliques == expected
-        assert stream_and_nodes(search_as_vertex_tasks, g, sp) == stream_and_nodes(reference_ttt, g, sp)
+        reference = stream_and_nodes(reference_ttt, g, sp)
+        for whole in (True, False):
+            with row_source(whole):
+                got = CollectSink()
+                P.ttt(g, sp, got)
+                assert got.cliques == expected
+                assert stream_and_nodes(search_as_vertex_tasks, g, sp) == reference
 
     @pytest.mark.parametrize("n, p", [(60, 0.5), (120, 0.3), (40, 0.8), (300, 0.03)])
     def test_same_stream_and_nodes_on_whole_graphs(self, n, p):
         for seed in range(2):
             g = P.gen_gnp(n, p, seed)
             sp = whole_graph_subproblem(g)
-            got, nodes = stream_and_nodes(search_as_vertex_tasks, g, sp)
-            assert (got, nodes) == stream_and_nodes(reference_ttt, g, sp)
-            assert nodes > 100
-            assert got == run_engine("ttt", g)
+            reference = stream_and_nodes(reference_ttt, g, sp)
+            assert reference[1] > 100
+            for whole in (True, False):
+                with row_source(whole):
+                    got, nodes = stream_and_nodes(search_as_vertex_tasks, g, sp)
+                    assert (got, nodes) == reference
+                    assert got == run_engine("ttt", g)
 
     def test_moon_moser_stream(self):
         g = P.gen_moon_moser(6)
@@ -378,7 +397,7 @@ class FrameBuilt(Exception):
     pass
 
 
-def no_frame(adj, cand, fini):
+def no_frame(*args):
     raise FrameBuilt
 
 
@@ -396,8 +415,9 @@ class TestEdgelessCandidates:
         g = P.Graph.from_edges(17, [(0, v) for v in (1, 2, 3, 8, 16)] + [(2, 8), *extra])
         got: list[tuple[int, ...]] = []
         expected: list[tuple[int, ...]] = []
-        _task(g.adj_sets, [0], set(cls.CAND), set(fini), got.append, lambda *a: False, 3)
-        reference_ttt(g.adj_sets, [0], set(cls.CAND), set(fini), expected.append)
+        adj = g.adj_sets
+        _task(adj, _graph_rows(adj), [0], set(cls.CAND), set(fini), got.append, lambda *a: False, 3)
+        reference_ttt(adj, [0], set(cls.CAND), set(fini), expected.append)
         return got, expected
 
     @pytest.mark.parametrize(
@@ -425,9 +445,9 @@ class TestEdgelessCandidates:
         frame = engines._frame
         calls = [0]
 
-        def counted(adj, cand, fini):
+        def counted(*args):
             calls[0] += 1
-            return frame(adj, cand, fini)
+            return frame(*args)
 
         monkeypatch.setattr(engines, "_frame", counted)
         family = canonical_run("ttt", g)
@@ -439,8 +459,10 @@ class TestEdgelessCandidates:
 
 class TestFrameWidth:
     """Every frame of an engine's task lies inside one neighbourhood, so
-    none holds more than Δ(g) vertices; the whole graph's root is never
-    framed. Only an explicit subproblem with an empty K is framed whole."""
+    none has more than Δ(g) members (the set bits of its cand and fini
+    masks); the whole graph's root is never framed. Only an explicit
+    subproblem with an empty K is framed whole. A per-task frame holds
+    only its members, so there len(F) is at most Δ too."""
 
     G = P.gen_gnp(80, 0.4, 5)
 
@@ -448,10 +470,11 @@ class TestFrameWidth:
         widths: list[int] = []
         frame = engines._frame
 
-        def checked(adj, cand, fini):
-            F, rows, cmask, fmask = frame(adj, cand, fini)
-            assert len(F) <= bound, f"frame of {len(F)} vertices, bound {bound}"
-            widths.append(len(F))
+        def checked(*args):
+            F, rows, cmask, fmask = frame(*args)
+            members = (cmask | fmask).bit_count()
+            assert members <= bound, f"frame of {members} vertices, bound {bound}"
+            widths.append(members)
             return F, rows, cmask, fmask
 
         monkeypatch.setattr(engines, "_frame", checked)
@@ -502,6 +525,26 @@ class TestFrameWidth:
         assert P.canonical_family(got.cliques) == canonical_run("ttt", self.G)
         assert widths
 
+    def test_per_task_frames_are_within_max_degree(self, monkeypatch):
+        # below the density rule each task builds its own frame, F its members
+        g = P.gen_gnp(2000, 0.005, 5)
+        assert _graph_rows(g.adj_sets) is None
+        delta = max(map(len, g.adj_sets))
+        frame = engines._frame
+        lengths: list[int] = []
+
+        def checked(*args):
+            F, rows, cmask, fmask = frame(*args)
+            assert len(F) == (cmask | fmask).bit_count() <= delta
+            lengths.append(len(F))
+            return F, rows, cmask, fmask
+
+        family = canonical_run("ttt", g)
+        monkeypatch.setattr(engines, "_frame", checked)
+        for engine in ("ttt", "parttt", "parmce"):
+            assert canonical_run(engine, g, cutoff=4) == family
+        assert lengths
+
     def test_the_gate_reaches_pool_workers(self, monkeypatch):
         self.gated(monkeypatch, 1)
         for engine in ("parttt", "parmce"):
@@ -511,10 +554,15 @@ class TestFrameWidth:
 
 class TestSplitPolicy:
     """The handler searches every task's root itself, and donates a node
-    below it, as one task, only when the queue is hungry."""
+    below it, as one task, only when the queue is hungry. G is dense, so
+    its tasks search the whole-graph rows."""
 
     G = P.gen_gnp(40, 0.5, 3)
     ROOT = ((), frozenset(range(40)), frozenset())
+    WHOLE_ROWS = True
+
+    def test_takes_its_row_source(self):
+        assert (_graph_rows(self.G.adj_sets) is not None) == self.WHOLE_ROWS
 
     def handle(self, task, cutoff, hungry):
         spawned, emitted = [], []
@@ -581,6 +629,56 @@ class TestSplitPolicy:
         spawned, emitted = self.handle(self.ROOT, cutoff=self.G.n + 1, hungry=lambda: True)
         assert spawned == []
         assert P.canonical_family(emitted) == canonical_run("ttt", self.G)
+
+
+class TestSplitPolicyOnPerTaskFrames(TestSplitPolicy):
+    """The same on a graph below the density rule: TestSplitPolicy's G
+    and 1,600 isolated vertices, so each task builds its own frame and the
+    root's frame is 1,640 wide."""
+
+    G = P.Graph([*TestSplitPolicy.G.adj_sets, *[()] * 1600])
+    ROOT = ((), frozenset(range(G.n)), frozenset())
+    WHOLE_ROWS = False
+
+
+class TestRowRule:
+    """Whole-graph rows are built when n <= 64 × average degree, once per
+    run, in the driver, and take at most 8 bytes per adjacency entry."""
+
+    @pytest.mark.parametrize(
+        "spec, whole",
+        [("gnp:600,0.2,1", True), ("moonmoser:10", True), ("gnp:2000,0.005,5", False)],
+    )
+    def test_density_picks_the_row_source(self, spec, whole):
+        g = parse_generator_spec(spec)
+        rows = _graph_rows(g.adj_sets)
+        assert (rows is not None) == whole
+        if whole:
+            ids, table = rows
+            assert ids == list(range(g.n))
+            assert table == [sum(1 << u for u in nbrs) for nbrs in g.adj_sets]
+            size = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+            assert size <= 8 * 2 * g.m
+
+    def test_the_rule_is_n_squared_at_most_128_m(self):
+        # n = 64 × average degree exactly, then one edge short of it
+        assert engines._whole_rows_pay(640, 3200)
+        assert not engines._whole_rows_pay(640, 3199)
+
+    @pytest.mark.parametrize("engine", ["ttt", "parttt", "parmce"])
+    def test_rows_are_built_once_per_run_before_the_fork(self, monkeypatch, engine):
+        g = P.gen_gnp(80, 0.4, 5)
+        build = engines._graph_rows
+        calls = []
+
+        def counted(adj):
+            calls.append(os.getpid())
+            return build(adj)
+
+        monkeypatch.setattr(engines, "_graph_rows", counted)
+        family = canonical_run(engine, g, threads=2, cutoff=4)
+        assert calls == [os.getpid()]
+        assert family == canonical_run("ttt", g)
 
 
 class TestSubproblemForVertex:
