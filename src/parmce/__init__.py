@@ -1,13 +1,6 @@
 """Shared-memory parallel maximal clique enumeration."""
 
-from .engines import (
-    Subproblem,
-    par_mce,
-    par_ttt,
-    subproblem_for_vertex,
-    ttt,
-    unrolled_children,
-)
+from .engines import par_mce, par_ttt, ttt
 from .graph import (
     EdgeListParseError,
     Graph,
@@ -23,7 +16,6 @@ from .oracle import (
     gen_moon_moser,
 )
 from .parallel import ParallelConfig
-from .pivoting import par_pivot, select_pivot
 from .ranking import (
     RankAssignment,
     compute_rank,
@@ -31,26 +23,16 @@ from .ranking import (
     degree_rank,
     triangle_counts,
 )
-from .sinks import (
-    CliqueSink,
-    CompositeSink,
-    CountingSink,
-    EnumerationReport,
-    HistogramSink,
-    WriterSink,
-)
+from .sinks import CliqueSink, EnumerationReport, HistogramSink, WriterSink
 
 __all__ = [
     "CliqueSink",
-    "CompositeSink",
-    "CountingSink",
     "EdgeListParseError",
     "EnumerationReport",
     "Graph",
     "HistogramSink",
     "ParallelConfig",
     "RankAssignment",
-    "Subproblem",
     "WriterSink",
     "brute_force_mce",
     "canonical_family",
@@ -62,14 +44,10 @@ __all__ = [
     "gen_moon_moser",
     "load_edge_list",
     "par_mce",
-    "par_pivot",
     "par_ttt",
     "read_edge_list",
-    "select_pivot",
-    "subproblem_for_vertex",
     "triangle_counts",
     "ttt",
-    "unrolled_children",
     "write_edge_list",
 ]
 

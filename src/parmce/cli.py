@@ -36,7 +36,6 @@ class RunConfig:
     threads: int = ParallelConfig.threads
     mode: str = "count"
     canonical: bool = False
-    cutoff: int = ParallelConfig.cutoff
     output: str | None = None
     original_labels: bool = False
     sweep: list[int] | None = None
@@ -46,7 +45,7 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        ParallelConfig(self.threads, self.cutoff)  # raises unless both are >= 1
+        ParallelConfig(self.threads)  # raises unless threads >= 1
         if self.threads > 1 and self.algo == "ttt":
             raise ValueError("ttt runs on one thread; --threads above 1 needs parttt or parmce")
         if self.order is not None and self.algo != "parmce":
@@ -106,7 +105,7 @@ def run_on_graph(
         )
     else:
         sink = HistogramSink()
-    pconf = ParallelConfig(threads=cfg.threads, cutoff=cfg.cutoff)
+    pconf = ParallelConfig(threads=cfg.threads)
 
     t_total = time.perf_counter()
     rt = 0.0
@@ -228,10 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list mode: buffer every clique, then write them sorted by their "
              "dense-id tuples (numerically, not as text)",
     )
-    p_run.add_argument("--cutoff", type=int, metavar="N",
-                       help="min cand size at which a search node may go, as one task, "
-                            "to idle workers (a task's root, or a node with fewer than 3 "
-                            "candidates, which is decided in closed form, never does)")
     p_run.add_argument("--output", metavar="FILE",
                        help="clique listing (list mode), or the sweep's CSV table "
                             "(without it a sweep only prints the table)")

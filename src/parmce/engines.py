@@ -41,10 +41,8 @@ emitted unsorted, in the order its vertices joined K. A task whose
 candidates share no edge, and a child with fewer than three candidates,
 are decided in closed form; finished vertices with no candidate
 neighbour are left out of the frame. A worker searches the root of each
-task it takes; a node below it with |cand| >= cutoff, met while the
-driver holds fewer than 2 × workers batches, is donated as one task, so
-a donated task's K is longer than its donor's. At one thread nothing is
-donated.
+task it takes and may donate nodes below it (`_CUTOFF`), so a donated
+task's K is longer than its donor's.
 
 All engines emit the same set of cliques for the same graph; only order
 and scheduling differ.
@@ -68,6 +66,13 @@ Emit = Callable[[tuple[int, ...]], None]
 Split = Callable[[list[int], int, int, Sequence[int]], bool]
 # Whole-graph rows (ids, rows): rows[v] is the bit mask of Γ(v) over ids.
 Rows = tuple[list[int], list[int]]
+
+# A search node below a task's root whose cand has at least _CUTOFF
+# vertices asks once, when it is visited, whether the driver holds fewer
+# than 2 × workers batches; only then is it donated, whole, as one new
+# task. A task's root is never donated, nor is a node with fewer than
+# three candidates (decided in closed form), nor any at one thread.
+_CUTOFF = 16
 
 
 @dataclass(frozen=True)
@@ -331,9 +336,8 @@ def _make_task_handler(g: Graph, key: Sequence[int], cutoff: int) -> Callable:
     A task is a vertex id v, standing for `_vertex_child(adj, key, v)`,
     which the handler builds; or a (K, cand, fini) triple, such as a
     donated node, whose sets it reads but does not change. Its root is
-    searched here. A node below it with |cand| >= cutoff checks hungry()
-    once; only when the driver holds fewer than 2 × workers batches is the
-    node given to spawn, as one triple read off the masks. Otherwise it is
+    searched here. A node below it with |cand| >= cutoff is given to spawn,
+    as one triple read off the masks, if hungry() says so; otherwise it is
     searched in place. The graph's row source (`_graph_rows`) is chosen and
     built here, once per run, in the driver, so pool workers inherit it.
     """
@@ -360,10 +364,10 @@ def _run(
     g: Graph, sink: CliqueSink, config: ParallelConfig, tasks: list, key: Sequence[int] = ()
 ) -> None:
     """Run tasks (vertex tasks under key) through the one handler: in order
-    at one thread, where nothing is donated, else on the pool, where a node
-    is donated only while the driver holds fewer than 2 × workers batches.
-    Either way cliques reach the sink through `chunker`, encode then take."""
-    handle = _make_task_handler(g, key, config.cutoff)
+    at one thread, where nothing is donated, else on the pool, which takes
+    donated nodes (`_CUTOFF`). Either way cliques reach the sink through
+    `chunker`, encode then take."""
+    handle = _make_task_handler(g, key, _CUTOFF)
     if config.threads > 1:
         run_task_pool(tasks, handle, config, sink)
         return

@@ -132,18 +132,15 @@ def load_edge_list(stream: IO[bytes] | IO[str] | Iterable[str | bytes]) -> Graph
             raise EdgeListParseError(
                 line_no, f"expected two labels, got {len(parts)}: {line!r}"
             )
-        try:
-            if not line.isascii() or "_" in line:  # int() reads "1_0" and "١" too
-                raise ValueError(line)
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise EdgeListParseError(line_no, f"non-integer label in {line!r}") from exc
-        if a < 0 or b < 0:
-            raise EdgeListParseError(line_no, f"negative label in {line!r}")
-        u = ids.setdefault(a, len(adj))
+        a, b = parts
+        # ASCII digits only: int() also reads "+5", "-0", "1_0" and "١"
+        if not (a.isdigit() and b.isdigit() and line.isascii()):
+            kind = "negative" if a[0] == "-" or b[0] == "-" else "non-integer"
+            raise EdgeListParseError(line_no, f"{kind} label in {line!r}")
+        u = ids.setdefault(int(a), len(adj))
         if u == len(adj):
             adj.append([])
-        v = ids.setdefault(b, len(adj))
+        v = ids.setdefault(int(b), len(adj))
         if v == len(adj):
             adj.append([])
         if u != v:

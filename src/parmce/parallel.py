@@ -6,12 +6,13 @@ copy-on-write pages instead of receiving a serialized graph. There is no
 shared queue or counter. The driver holds the batches and sends the next
 one to each worker that reports idle, on a task pipe only it writes; it
 queues each node a worker donates as a batch of its own, publishes in 8
-bytes of shared memory how many batches it holds, and stops every worker
-once all are idle and no batch is left. Workers send their cliques, chunk
-by chunk as sink.encode() payloads, on their own result pipes; a full pipe
-blocks its worker, so memory stays bounded. Messages are length-prefixed
-pickles. The driver waits with poll() and writes to a worker only while it
-waits for a batch, so neither blocks on the other. A task that raises, or
+bytes of shared memory how many batches it holds, which decides whether a
+worker donates (`engines._CUTOFF`), and stops every worker once all are
+idle and no batch is left. Workers send their cliques, chunk by chunk as
+sink.encode() payloads, on their own result pipes; a full pipe blocks its
+worker, so memory stays bounded. Messages are length-prefixed pickles.
+The driver waits with poll() and writes to a worker only while it waits
+for a batch, so neither blocks on the other. A task that raises, or
 a worker's death, seen as end-of-file on its result pipe, ends the run at
 once with an error. The workers ignore SIGINT; on a KeyboardInterrupt or
 any error the driver kills and reaps them. A worker whose driver is gone
@@ -38,23 +39,13 @@ from .sinks import CliqueSink
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Worker budget and the cutoff that gates donating search nodes.
-
-    A search node below a task's root whose cand has at least `cutoff`
-    vertices asks once, when it is visited, whether the driver holds fewer
-    than 2 × workers batches; only then is it donated, whole, as one new
-    task. A task's root is never donated, nor is a node with fewer than
-    three candidates (decided in closed form), nor any at one thread.
-    """
+    """The worker budget: how many processes search at once."""
 
     threads: int = 1
-    cutoff: int = 16
 
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
 
 
 # The largest batch carries 1 / (workers * _BATCHES_PER_WORKER) of a task

@@ -132,7 +132,8 @@ class WriterSink(HistogramSink):
 
     def finalize(self) -> None:
         if self.canonical:
-            self.out.writelines(map(self._line, sorted(self._buffer)))
+            name = self._name  # each buffered tuple is sorted already: no _line
+            self.out.writelines(" ".join(map(name, c)) + "\n" for c in sorted(self._buffer))
             self._buffer.clear()
 
 

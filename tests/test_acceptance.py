@@ -15,6 +15,8 @@ import pytest
 
 import parmce as P
 from parmce.cli import RunConfig, run
+from parmce.pivoting import par_pivot, select_pivot
+from parmce.sinks import CountingSink
 
 from util import (
     CollectSink,
@@ -91,7 +93,7 @@ def test_04_duplicate_freeness_under_concurrency():
             listing = CollectSink()
             P.par_mce(g, rank, listing, P.ParallelConfig(threads=threads))
             assert len(listing.cliques) == len(set(listing.cliques)), seed
-            counter = P.CountingSink()
+            counter = CountingSink()
             P.par_mce(g, rank, counter, P.ParallelConfig(threads=threads))
             assert counter.count == len(listing.cliques), seed
 
@@ -120,7 +122,7 @@ def test_06_pivot_path_equivalence():
                 continue
             cand = {v for v in chosen if rng.random() < 0.5}
             fini = set(chosen) - cand
-            assert P.par_pivot(g, cand, fini) == P.select_pivot(g, cand, fini)
+            assert par_pivot(g, cand, fini) == select_pivot(g, cand, fini)
             done += 1
 
 
@@ -191,7 +193,7 @@ def test_08_scaling_sanity():
             g = None  # free the smaller graph first
             g = P.gen_gnp(n, 0.2, 42)
             t0 = time.perf_counter()
-            base = P.CountingSink()
+            base = CountingSink()
             P.ttt(g, None, base)
             et_ttt = time.perf_counter() - t0
             if et_ttt >= 10.0:
@@ -204,12 +206,12 @@ def test_08_scaling_sanity():
         ceiling_before = _machine_parallel_ceiling()
 
         t0 = time.perf_counter()
-        s1 = P.CountingSink()
+        s1 = CountingSink()
         P.par_mce(g, rank, s1, P.ParallelConfig(threads=1))
         et_one = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        sn = P.CountingSink()
+        sn = CountingSink()
         P.par_mce(g, rank, sn, P.ParallelConfig(threads=threads))
         et_max = time.perf_counter() - t0
 

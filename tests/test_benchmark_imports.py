@@ -9,16 +9,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Past the imports: layers.py swaps three module attributes for traced
-# wrappers, ops.py imports run_on_graph only when it runs, and the probes
-# read attributes off graphs, ranks and sinks.
+# wrappers, ops.py imports run_on_graph only when it runs, the probes read
+# attributes off graphs, ranks and sinks, and ops.py and layers.py build
+# their configs with these keywords.
 CHECK = """
 import layers, ops, run
 import parmce.cli as cli, parmce.engines as engines
 from parmce.graph import Graph
+from parmce.parallel import ParallelConfig
 from parmce.ranking import RankAssignment
 from parmce.sinks import HistogramSink
 cli.compute_rank, cli.par_mce, engines.run_task_pool, cli.run_on_graph
 Graph.adj_lists, RankAssignment.key, HistogramSink.count
+cli.RunConfig(input="g.txt", algo="parmce", order="degree", threads=2, mode="list")
+ParallelConfig(threads=2), ParallelConfig(1)
 """
 
 

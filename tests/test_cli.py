@@ -50,11 +50,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="must be >= 1"):
             RunConfig(gen="complete:4", algo="ttt", threads=0)
 
-    def test_cutoff_positive(self):
-        with pytest.raises(ValueError, match="cutoff"):
-            RunConfig(gen="complete:4", algo="ttt", cutoff=0)
-        assert RunConfig(gen="complete:4", cutoff=1).cutoff == 1
-
     def test_bad_algo_and_mode(self):
         with pytest.raises(ValueError):
             RunConfig(gen="complete:4", algo="bk")
@@ -208,16 +203,16 @@ class TestScalingSweep:
             return P.EnumerationReport(clique_count=7, et_seconds=et)
 
         monkeypatch.setattr(parmce.cli, "run_on_graph", fixed_et)
-        cfg = RunConfig(gen="complete:5", algo="parmce", order="triangle", cutoff=3, sweep=[1, 2])
+        cfg = RunConfig(gen="complete:5", algo="parmce", order="triangle", sweep=[1, 2])
         rows = scaling_sweep(cfg)
         # speedup is the baseline's ET over the row's ET
         assert [(r.threads, r.et_seconds, r.speedup, r.clique_count) for r in rows] == [
             (1, 4.0, 0.75, 7), (2, 1.5, 2.0, 7),
         ]
         base, *row_cfgs = ran
-        assert (base.algo, base.threads, base.cutoff) == ("ttt", 1, 3)
-        assert [(c.algo, c.order, c.cutoff, c.threads) for c in row_cfgs] == [
-            ("parmce", "triangle", 3, 1), ("parmce", "triangle", 3, 2),
+        assert (base.algo, base.order, base.threads) == ("ttt", None, 1)
+        assert [(c.algo, c.order, c.threads) for c in row_cfgs] == [
+            ("parmce", "triangle", 1), ("parmce", "triangle", 2),
         ]
 
     def test_sweep_rejects_sequential_algo(self):
@@ -241,13 +236,12 @@ class TestRunOptions:
     def test_each_option_sets_its_field(self):
         cfg, report_json = self.parse(
             "--gen", "moonmoser:3", "--algo", "parmce", "--order", "triangle",
-            "--threads", "3", "--mode", "list", "--canonical", "--cutoff", "5",
+            "--threads", "3", "--mode", "list", "--canonical",
             "--output", "o.txt", "--original-labels", "--report-json", "r.json",
         )
         assert cfg == RunConfig(
             gen="moonmoser:3", algo="parmce", order="triangle", threads=3,
-            mode="list", canonical=True, cutoff=5, output="o.txt",
-            original_labels=True,
+            mode="list", canonical=True, output="o.txt", original_labels=True,
         )
         assert report_json == "r.json"
         cfg, _ = self.parse("--input", "g.txt", "--sweep", "1,2,4")
@@ -306,7 +300,7 @@ class TestMainEntry:
         assert exc.value.code == 2
         assert "apply only to --mode list" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--cutoff", "--threads"])
+    @pytest.mark.parametrize("flag", ["--threads"])
     def test_zero_cutoff_or_threads_is_usage_error(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--gen", "complete:4", "--algo", "ttt", flag, "0"])
@@ -322,11 +316,18 @@ class TestMainEntry:
 
     def test_config_error_prints_the_run_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--gen", "complete:3", "--cutoff", "0"])
+            main(["run", "--gen", "complete:3", "--threads", "0"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: parmce run ")
-        assert "parmce run: error: cutoff must be >= 1" in err
+        assert "parmce run: error: threads must be >= 1" in err
+
+    def test_cutoff_is_not_an_option(self, capsys):
+        # the donation cutoff is the engines' constant, not a setting
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gen", "complete:4", "--algo", "parttt", "--cutoff", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cutoff 3" in capsys.readouterr().err
 
     def test_missing_source_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -490,19 +491,20 @@ RAW_PINS = {
 
 class TestPinnedListings:
     @pytest.mark.parametrize("gen, lines, runs", [
-        # 2 and 3 workers, the latter odd; at cutoff 3 the kernel donates nodes too
-        ("moonmoser:9", 19683, ["parmce --threads 2", "parttt --threads 2 --cutoff 3",
-                                "parmce --threads 3", "parttt --threads 3 --cutoff 3"]),
+        # (--algo and options, donation cutoff): 2 and 3 workers, the latter
+        # odd; at cutoff 3 the kernel donates nodes too
+        ("moonmoser:9", 19683, [("parmce --threads 2", None), ("parttt --threads 2", 3),
+                                ("parmce --threads 3", None), ("parttt --threads 3", 3)]),
         # most tasks' candidates share no edge, and the core numbers differ
-        ("gnp:2000,0.005,5", 9605, ["parmce --order degeneracy --threads 2",
-                                    "parttt --threads 2 --cutoff 3"]),
+        ("gnp:2000,0.005,5", 9605, [("parmce --order degeneracy --threads 2", None),
+                                    ("parttt --threads 2", 3)]),
     ])
     def test_streamed_listing_matches_the_canonical_ttt_listing(self, tmp_path, gen, lines, runs):
         cli(tmp_path, f"run --gen {gen} --algo ttt --mode list --canonical --output b.txt")
         want = sorted((tmp_path / "b.txt").read_text().splitlines())
         assert len(want) == lines
-        for algo in runs:
-            cli(tmp_path, f"run --gen {gen} --algo {algo} --mode list --output a.txt")
+        for algo, cutoff in runs:
+            cli(tmp_path, f"run --gen {gen} --algo {algo} --mode list --output a.txt", cutoff)
             assert sorted((tmp_path / "a.txt").read_text().splitlines()) == want, algo
 
     @pytest.mark.parametrize("gen, lines, algo", RAW_PINS)
@@ -565,9 +567,21 @@ def close_after_one_line(args, timeout):
     return proc.returncode, err
 
 
-def cli(cwd, command):
-    """stdout of `python -m parmce.cli COMMAND` on the package under test, run in cwd."""
-    proc = subprocess.run([sys.executable, "-m", "parmce.cli", *command.split()], cwd=cwd,
+# `python -m parmce.cli` with the engines' donation cutoff patched to argv[1] first
+AT_CUTOFF = (
+    "import sys, parmce.engines\n"
+    "from unittest import mock\n"
+    "mock.patch.object(parmce.engines, '_CUTOFF', int(sys.argv.pop(1))).start()\n"
+    "from parmce.cli import main\n"
+    "sys.exit(main())\n"
+)
+
+
+def cli(cwd, command, cutoff=None):
+    """stdout of `python -m parmce.cli COMMAND` on the package under test, run
+    in cwd; with a cutoff, at that donation cutoff (`AT_CUTOFF`)."""
+    prog = ["-m", "parmce.cli"] if cutoff is None else ["-c", AT_CUTOFF, str(cutoff)]
+    proc = subprocess.run([sys.executable, *prog, *command.split()], cwd=cwd,
                           env=package_env(), capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout

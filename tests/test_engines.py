@@ -9,13 +9,25 @@ from hypothesis import assume, given, settings, strategies as st
 import parmce as P
 import parmce.engines as engines
 from parmce.cli import parse_generator_spec
-from parmce.engines import _graph_rows, _make_task_handler, _root_tasks, _task, _vertex_child
+from parmce.engines import (
+    Subproblem,
+    _graph_rows,
+    _make_task_handler,
+    _root_tasks,
+    _task,
+    _vertex_child,
+    subproblem_for_vertex,
+    unrolled_children,
+)
+from parmce.pivoting import select_pivot
+from parmce.sinks import CountingSink
 
 from util import (
     CollectSink,
     ascending,
     assert_all_maximal_cliques,
     canonical_run,
+    donation_cutoff,
     incremental_children,
     reference_ttt,
     run_engine,
@@ -47,7 +59,7 @@ class TestTTT:
 
     def test_unsatisfiable_subproblem_emits_nothing(self):
         g = P.Graph.from_edges(2, [(0, 1)])
-        sp = P.Subproblem(frozenset({0}), frozenset(), frozenset({1}))
+        sp = Subproblem(frozenset({0}), frozenset(), frozenset({1}))
         for engine in (P.ttt, P.par_ttt):
             sink = CollectSink()
             engine(g, sp, sink)
@@ -56,18 +68,18 @@ class TestTTT:
     def test_explicit_subproblem_scopes_search(self):
         # only cliques containing K and avoiding fini
         sink = CollectSink()
-        P.ttt(K3, P.Subproblem(frozenset({0}), frozenset({1, 2}), frozenset()), sink)
+        P.ttt(K3, Subproblem(frozenset({0}), frozenset({1, 2}), frozenset()), sink)
         assert sink.cliques == [(0, 1, 2)]
 
     def test_invalid_subproblem_rejected(self):
         with pytest.raises(ValueError):
-            P.Subproblem(frozenset({0}), frozenset({0}), frozenset()).validate(K3)
+            Subproblem(frozenset({0}), frozenset({0}), frozenset()).validate(K3)
         with pytest.raises(ValueError):
             # K not a clique
-            P.Subproblem(frozenset({0, 2}), frozenset(), frozenset()).validate(PATH3)
+            Subproblem(frozenset({0, 2}), frozenset(), frozenset()).validate(PATH3)
         with pytest.raises(ValueError):
             # fini vertex not adjacent to K
-            P.Subproblem(frozenset({0}), frozenset(), frozenset({2})).validate(PATH3)
+            Subproblem(frozenset({0}), frozenset(), frozenset({2})).validate(PATH3)
 
 
 class TestParTTT:
@@ -80,20 +92,20 @@ class TestParTTT:
         # explicit root is validated, then searched as one task, and must
         # give the same stream
         for cutoff in (1, 16):
-            cfg = P.ParallelConfig(threads=1, cutoff=cutoff)
             default, explicit = CollectSink(), CollectSink()
-            P.par_ttt(g, None, default, cfg)
-            P.par_ttt(g, whole_graph_subproblem(g), explicit, cfg)
+            with donation_cutoff(cutoff):
+                P.par_ttt(g, None, default)
+                P.par_ttt(g, whole_graph_subproblem(g), explicit)
             assert default.cliques == explicit.cliques
             assert default.cliques
 
     @pytest.mark.parametrize(
         "sp",
         [
-            P.Subproblem(frozenset({0, 2}), frozenset({1}), frozenset()),  # K not a clique
-            P.Subproblem(frozenset(), frozenset({0, 1}), frozenset({1})),  # not disjoint
-            P.Subproblem(frozenset({0}), frozenset({1}), frozenset({2})),  # 2 not by 0
-            P.Subproblem(frozenset(), frozenset({0, 1, 2, 3}), frozenset()),  # 3 not a vertex
+            Subproblem(frozenset({0, 2}), frozenset({1}), frozenset()),  # K not a clique
+            Subproblem(frozenset(), frozenset({0, 1}), frozenset({1})),  # not disjoint
+            Subproblem(frozenset({0}), frozenset({1}), frozenset({2})),  # 2 not by 0
+            Subproblem(frozenset(), frozenset({0, 1, 2, 3}), frozenset()),  # 3 not a vertex
         ],
     )
     def test_caller_subproblem_is_validated(self, sp):
@@ -135,7 +147,8 @@ class TestParTTT:
     def test_listing_through_pool(self):
         g = P.gen_gnp(30, 0.4, 2)
         sink = CollectSink()
-        P.par_ttt(g, None, sink, P.ParallelConfig(threads=2, cutoff=4))
+        with donation_cutoff(4):
+            P.par_ttt(g, None, sink, P.ParallelConfig(threads=2))
         assert P.canonical_family(sink.cliques) == canonical_run("ttt", g)
 
     @pytest.mark.parametrize("part", ["root", "partial"])
@@ -146,7 +159,7 @@ class TestParTTT:
         if part == "root":
             sp = whole_graph_subproblem(g)
         else:
-            sp = P.Subproblem(frozenset(), frozenset(range(1, g.n)), frozenset({0}))
+            sp = Subproblem(frozenset(), frozenset(range(1, g.n)), frozenset({0}))
 
         class ByWorker(CollectSink):
             def __init__(self):
@@ -161,7 +174,8 @@ class TestParTTT:
                 super().take(payload[1])
 
         sink = ByWorker()
-        P.par_ttt(g, sp, sink, P.ParallelConfig(threads=2, cutoff=3))
+        with donation_cutoff(3):
+            P.par_ttt(g, sp, sink, P.ParallelConfig(threads=2))
         expected: list[tuple[int, ...]] = []
         reference_ttt(g.adj_sets, [], set(sp.cand), set(sp.fini), expected.append)
         assert sorted(ascending(sink.cliques)) == sorted(expected)
@@ -171,12 +185,13 @@ class TestParTTT:
         # K is emitted when fini is empty too, and nothing otherwise
         g = P.Graph.from_edges(3, [(0, 1)])
         for sp, expected in [
-            (P.Subproblem(frozenset({2}), frozenset(), frozenset()), [(2,)]),
-            (P.Subproblem(frozenset({0, 1}), frozenset(), frozenset()), [(0, 1)]),
-            (P.Subproblem(frozenset({0}), frozenset(), frozenset({1})), []),
+            (Subproblem(frozenset({2}), frozenset(), frozenset()), [(2,)]),
+            (Subproblem(frozenset({0, 1}), frozenset(), frozenset()), [(0, 1)]),
+            (Subproblem(frozenset({0}), frozenset(), frozenset({1})), []),
         ]:
             sink = CollectSink()
-            P.par_ttt(g, sp, sink, P.ParallelConfig(threads=2, cutoff=2))
+            with donation_cutoff(2):
+                P.par_ttt(g, sp, sink, P.ParallelConfig(threads=2))
             assert sink.cliques == expected
 
 
@@ -189,8 +204,8 @@ class TestLoopUnrolling:
     def test_children_cover_branch_set(self):
         g = P.gen_gnp(12, 0.5, 3)
         cand = set(range(g.n))
-        children = P.unrolled_children(g, (), cand, set())
-        pivot = P.select_pivot(g, cand, set())
+        children = unrolled_children(g, (), cand, set())
+        pivot = select_pivot(g, cand, set())
         assert [c[0][-1] for c in children] == sorted(cand - g.adj_sets[pivot])
         for kq, cq, fq in children:
             q = kq[-1]
@@ -212,7 +227,7 @@ class TestLoopUnrolling:
         assume(cand or fini)
         args = (set(cand), set(fini))
         K = (len(roles),)
-        unrolled = P.unrolled_children(g, K, cand, fini)
+        unrolled = unrolled_children(g, K, cand, fini)
         assert (cand, fini) == args, "arguments must not be mutated"
         assert unrolled == incremental_children(g, K, cand, fini)
         for _, cq, fq in unrolled:
@@ -231,14 +246,14 @@ class TestLoopUnrolling:
         sp = random_subproblem(g, roles)
         assume(sp.cand)
         K = tuple(sorted(sp.K))
-        built = P.unrolled_children(g, K, set(sp.cand), set(sp.fini))
+        built = unrolled_children(g, K, set(sp.cand), set(sp.fini))
         assert built == incremental_children(g, K, sp.cand, sp.fini)
         for Kq, cq, fq in built:
             assert type(cq) is set and type(fq) is set
-            P.Subproblem(frozenset(Kq), frozenset(cq), frozenset(fq)).validate(g)
+            Subproblem(frozenset(Kq), frozenset(cq), frozenset(fq)).validate(g)
 
 
-def random_subproblem(g: P.Graph, roles: list[str]) -> P.Subproblem:
+def random_subproblem(g: P.Graph, roles: list[str]) -> Subproblem:
     """A valid (K, cand, fini): K a clique of the "K" vertices met in id
     order, cand and fini the "cand" and "fini" vertices adjacent to all of K."""
     adj = g.adj_sets
@@ -249,7 +264,7 @@ def random_subproblem(g: P.Graph, roles: list[str]) -> P.Subproblem:
     common = set(range(g.n)).difference(K).intersection(*(adj[k] for k in K))
     cand = frozenset(v for v in common if roles[v] == "cand")
     fini = frozenset(v for v in common if roles[v] == "fini")
-    return P.Subproblem(frozenset(K), cand, fini)
+    return Subproblem(frozenset(K), cand, fini)
 
 
 
@@ -273,7 +288,7 @@ class TestVertexTasks:
             ext, key = _root_tasks(g.adj_sets)
             built = [_vertex_child(g.adj_sets, key, q) for q in ext]
             assert built == expected
-            assert built == P.unrolled_children(g, (), set(range(g.n)), set())
+            assert built == unrolled_children(g, (), set(range(g.n)), set())
             assert [key[q] for q in ext] == ext
             assert all(key[w] == g.n for w in set(range(g.n)) - set(ext))
 
@@ -295,9 +310,10 @@ class TestSerialEnginesShareTheKernel:
             rank = P.degree_rank(g)
             expected = CollectSink()
             for v in sorted(range(g.n), key=rank.key):
-                P.ttt(g, P.subproblem_for_vertex(g, rank, v), expected)
+                P.ttt(g, subproblem_for_vertex(g, rank, v), expected)
             got = CollectSink()
-            P.par_mce(g, rank, got, P.ParallelConfig(threads=1, cutoff=cutoff))
+            with donation_cutoff(cutoff):
+                P.par_mce(g, rank, got, P.ParallelConfig(threads=1))
             assert got.cliques == expected.cliques
 
 
@@ -329,7 +345,7 @@ def row_source(whole: bool):
     return mock.patch.object(engines, "_whole_rows_pay", lambda n, m: whole)
 
 
-def stream_and_nodes(search, g: P.Graph, sp: P.Subproblem):
+def stream_and_nodes(search, g: P.Graph, sp: Subproblem):
     """Emissions of one search, in order, each clique's ids sorted, and its
     count of nodes with >= 3 candidates, taken by a split hook at cutoff 3
     that counts and declines."""
@@ -501,7 +517,7 @@ class TestFrameWidth:
         if part == "root":
             sp = whole_graph_subproblem(self.G)
         else:
-            sp = P.Subproblem(
+            sp = Subproblem(
                 frozenset(),
                 frozenset(v for v in range(n) if v % 3),
                 frozenset(v for v in range(n) if v % 6 == 0),
@@ -509,7 +525,8 @@ class TestFrameWidth:
         expected: list[tuple[int, ...]] = []
         reference_ttt(self.G.adj_sets, [], set(sp.cand), set(sp.fini), expected.append)
         got = CollectSink()
-        P.par_ttt(self.G, sp, got, P.ParallelConfig(threads=threads, cutoff=4))
+        with donation_cutoff(4):
+            P.par_ttt(self.G, sp, got, P.ParallelConfig(threads=threads))
         assert P.canonical_family(got.cliques) == P.canonical_family(expected)
         if part == "root":
             assert P.canonical_family(expected) == canonical_run("ttt", self.G)
@@ -521,7 +538,7 @@ class TestFrameWidth:
         rank = P.compute_rank(self.G, "degree")
         got = CollectSink()
         for v in range(self.G.n):
-            P.ttt(self.G, P.subproblem_for_vertex(self.G, rank, v), got)
+            P.ttt(self.G, subproblem_for_vertex(self.G, rank, v), got)
         assert P.canonical_family(got.cliques) == canonical_run("ttt", self.G)
         assert widths
 
@@ -685,26 +702,26 @@ class TestSubproblemForVertex:
     def test_star_center_gets_everything_finished(self):
         g = P.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         rank = P.degree_rank(g)
-        sp = P.subproblem_for_vertex(g, rank, 0)
+        sp = subproblem_for_vertex(g, rank, 0)
         assert (sp.K, sp.cand, sp.fini) == ({0}, frozenset(), {1, 2, 3})
-        sp1 = P.subproblem_for_vertex(g, rank, 1)
+        sp1 = subproblem_for_vertex(g, rank, 1)
         assert (sp1.K, sp1.cand, sp1.fini) == ({1}, {0}, frozenset())
 
     def test_isolated_vertex(self):
         g = P.Graph.from_edges(3, [(0, 1)])
-        sp = P.subproblem_for_vertex(g, P.degree_rank(g), 2)
+        sp = subproblem_for_vertex(g, P.degree_rank(g), 2)
         assert (sp.K, sp.cand, sp.fini) == ({2}, frozenset(), frozenset())
 
     def test_satisfies_invariants(self):
         g = P.gen_gnp(20, 0.4, 9)
         rank = P.triangle_counts(g)
         for v in range(g.n):
-            P.subproblem_for_vertex(g, rank, v).validate(g)
+            subproblem_for_vertex(g, rank, v).validate(g)
 
     def test_out_of_range(self):
         for v in (-1, 3):
             with pytest.raises(IndexError, match="out of range"):
-                P.subproblem_for_vertex(K3, P.degree_rank(K3), v)
+                subproblem_for_vertex(K3, P.degree_rank(K3), v)
 
 
 class TestParMCE:
@@ -712,7 +729,7 @@ class TestParMCE:
         out = {}
         for v in range(g.n):
             sink = CollectSink()
-            P.par_ttt(g, P.subproblem_for_vertex(g, rank, v), sink, config)
+            P.par_ttt(g, subproblem_for_vertex(g, rank, v), sink, config)
             out[v] = P.canonical_family(sink.cliques)
         return out
 
@@ -756,11 +773,13 @@ class TestParMCE:
 
     def test_par_ttt_pool_on_every_vertex_subproblem(self):
         # non-root subproblems through the pool; at one thread par_ttt is ttt
-        pool = P.ParallelConfig(threads=2, cutoff=2)
+        pool = P.ParallelConfig(threads=2)
         for seed in range(3):
             g = P.gen_gnp(16, 0.5, seed)
             rank = P.degeneracy_rank(g)
-            assert self.per_vertex_emissions(g, rank, pool) == self.per_vertex_emissions(g, rank)
+            with donation_cutoff(2):
+                pooled = self.per_vertex_emissions(g, rank, pool)
+            assert pooled == self.per_vertex_emissions(g, rank)
 
     def test_pool_matches_serial(self):
         for seed in (0, 1):
@@ -773,7 +792,7 @@ class TestParMCE:
     def test_rank_length_mismatch_rejected(self):
         bad = P.RankAssignment((0, 0))
         with pytest.raises(ValueError):
-            P.par_mce(K3, bad, P.CountingSink())
+            P.par_mce(K3, bad, CountingSink())
 
 
 class TestEmittedCliquesAreMaximal:
@@ -825,14 +844,35 @@ class TestEncodingSinksGetTheKernelsTuples:
         assert ascending(sink.cliques) == expected
 
 
+class TestDonationCutoff:
+    """No option sets the donation cutoff: every engine builds its handler
+    with the engines' constant, 16, at every thread count, and with the
+    value a test patches in, so the tests that patch it run at it."""
+
+    @pytest.mark.parametrize(
+        "engine, threads", [("ttt", 1), ("parttt", 1), ("parttt", 2), ("parmce", 1), ("parmce", 2)]
+    )
+    def test_the_handler_gets_16_or_the_patched_value(self, monkeypatch, engine, threads):
+        g = P.gen_gnp(40, 0.5, 1)
+        family = canonical_run("ttt", g)
+        build = engines._make_task_handler
+        cutoffs = []
+
+        def recorded(g, key, cutoff):
+            cutoffs.append(cutoff)
+            return build(g, key, cutoff)
+
+        monkeypatch.setattr(engines, "_make_task_handler", recorded)
+        assert canonical_run(engine, g, threads=threads) == family
+        assert canonical_run(engine, g, threads=threads, cutoff=3) == family
+        assert cutoffs == [16, 3]
+
+
 class TestParallelConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             P.ParallelConfig(threads=0)
-        with pytest.raises(ValueError):
-            P.ParallelConfig(cutoff=0)
 
     def test_defaults(self):
         cfg = P.ParallelConfig()
         assert cfg.threads == 1
-        assert cfg.cutoff == 16

@@ -54,7 +54,9 @@ class TestLoadEdgeList:
         "text,line",
         [("0 x\n", 1), ("0 1\n1 2 3\n", 2), ("0 1\nfoo\n", 2), ("-1 2\n", 1),
          # int() reads "1_0" as 10, and the Arabic-Indic digit "١" as 1
-         ("1_0 5\n10 6\n", 1), ("١ 2\n", 1)],
+         ("1_0 5\n10 6\n", 1), ("١ 2\n", 1),
+         # and "+5" as 5 (so "5 +5" is a self-loop) and "-0" as 0
+         ("+5 6\n", 1), ("5 +5\n", 1), ("-0 1\n", 1)],
     )
     def test_malformed_names_line(self, text, line):
         with pytest.raises(P.EdgeListParseError) as exc:
@@ -238,7 +240,11 @@ def test_generators_peak_near_the_graphs_own_size(build):
 
 _LABEL = st.one_of(st.integers(0, 20), st.integers(10**30, 10**30 + 2)).map(str)
 _TOKEN = st.one_of(
-    _LABEL, _LABEL, _LABEL.map("-".__add__), st.sampled_from(["-", "#", "%", "#7", "%x"])
+    _LABEL,
+    _LABEL,
+    _LABEL.map("-".__add__),
+    _LABEL.map("+".__add__),
+    st.sampled_from(["-", "+", "#", "%", "#7", "%x"]),
 )
 _SPACE = st.sampled_from(["", " ", "\t", " \t"])
 _SEP = st.sampled_from([" ", "\t", "  ", "\t "])
@@ -251,7 +257,7 @@ _MOSTLY = st.sampled_from([True] * 5 + [False])
 @st.composite
 def edge_list_bytes(draw) -> bytes:
     """Edge-list-like bytes: mostly two-label lines, plus blank, comment,
-    one- and three-token lines, negative and huge labels, CRLF endings,
+    one- and three-token lines, signed and huge labels, CRLF endings,
     invalid UTF-8 and, sometimes, a leading BOM."""
     out = [b"\xef\xbb\xbf"] if draw(_RARELY) else []
     for _ in range(draw(st.integers(0, 16))):

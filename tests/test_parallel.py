@@ -406,7 +406,7 @@ def test_the_pool_does_not_import_multiprocessing():
     code = (
         "import sys, parmce.cli, parmce as P\n"
         "g = P.gen_gnp(40, 0.3, 1)\n"
-        "sink = P.CountingSink()\n"
+        "sink = P.HistogramSink()\n"
         "P.par_mce(g, P.degree_rank(g), sink, P.ParallelConfig(threads=2))\n"
         "print(sink.count, sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
     )

@@ -3,33 +3,34 @@ import random
 import pytest
 
 import parmce as P
+from parmce.pivoting import par_pivot, select_pivot
 
 K3 = P.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 
 
 class TestSelectPivot:
     def test_complete_tie_breaks_low_id(self):
-        assert P.select_pivot(K3, {0, 1, 2}, set()) == 0
+        assert select_pivot(K3, {0, 1, 2}, set()) == 0
 
     def test_star_center_wins(self):
         g = P.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert P.select_pivot(g, {0, 1, 2, 3}, set()) == 0
+        assert select_pivot(g, {0, 1, 2, 3}, set()) == 0
 
     def test_pivot_may_come_from_fini(self):
         g = P.Graph.from_edges(6, [(2, 5)])
-        assert P.select_pivot(g, {2}, {5}) == 5
+        assert select_pivot(g, {2}, {5}) == 5
 
     def test_k10_root(self):
         g = P.gen_complete(10)
         cand = set(range(10))
-        assert P.select_pivot(g, cand, set()) == 0
+        assert select_pivot(g, cand, set()) == 0
         assert max(len(cand & g.adj_sets[w]) for w in cand) == 9
 
     def test_both_empty_is_contract_violation(self):
         with pytest.raises(ValueError):
-            P.select_pivot(K3, set(), set())
+            select_pivot(K3, set(), set())
         with pytest.raises(ValueError):
-            P.par_pivot(K3, set(), set())
+            par_pivot(K3, set(), set())
 
 
 class TestParPivot:
@@ -40,7 +41,7 @@ class TestParPivot:
             (P.Graph.from_edges(6, [(2, 5)]), {2}, {5}),
         ]
         for g, cand, fini in cases:
-            assert P.par_pivot(g, cand, fini) == P.select_pivot(g, cand, fini)
+            assert par_pivot(g, cand, fini) == select_pivot(g, cand, fini)
 
     def test_equivalence_on_random_splits(self):
         g = P.gen_gnp(30, 0.3, 99)
@@ -51,7 +52,7 @@ class TestParPivot:
                 continue
             cand = {v for v in verts if rng.random() < 0.5}
             fini = set(verts) - cand
-            assert P.par_pivot(g, cand, fini) == P.select_pivot(g, cand, fini)
+            assert par_pivot(g, cand, fini) == select_pivot(g, cand, fini)
 
     def test_pivot_score_is_maximal(self):
         g = P.gen_gnp(25, 0.4, 11)
@@ -62,7 +63,7 @@ class TestParPivot:
                 continue
             cand = {v for v in verts if rng.random() < 0.6}
             fini = set(verts) - cand
-            pivot = P.select_pivot(g, cand, fini)
+            pivot = select_pivot(g, cand, fini)
             scores = {w: len(cand & g.adj_sets[w]) for w in cand | fini}
             assert all(scores[pivot] >= t for t in scores.values())
             for w, t in scores.items():

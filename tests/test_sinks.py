@@ -5,28 +5,29 @@ from collections import Counter
 import pytest
 
 import parmce as P
+from parmce.sinks import CompositeSink, CountingSink
 
-from util import CollectSink, reference_ttt, run_engine
+from util import CollectSink, donation_cutoff, reference_ttt, run_engine
 
 
 class TestCountingSink:
     def test_counts_emissions(self):
-        s = P.CountingSink()
+        s = CountingSink()
         s.emit((0, 1))
         s.emit((1, 2))
         assert s.count == 2
 
     def test_zero_without_emissions(self):
-        assert P.CountingSink().count == 0
+        assert CountingSink().count == 0
 
     def test_moon_moser_full_run(self):
-        s = P.CountingSink()
+        s = CountingSink()
         P.ttt(P.gen_moon_moser(3), None, s)
         assert s.count == 27
 
     def test_absorb(self):
         # a pool worker sends a HistogramSink each chunk's size counts
-        s = P.CountingSink()
+        s = CountingSink()
         s.take(Counter({2: 3, 3: 2}))
         s.take(Counter({2: 2}))
         assert s.count == 7
@@ -146,13 +147,14 @@ class TestWriterSink:
         ]:
             out = io.StringIO()
             sink = P.WriterSink(out, canonical=True)
-            cfg = P.ParallelConfig(threads=threads, cutoff=8)
-            if engine == "ttt":
-                P.ttt(g, None, sink)
-            elif engine == "parttt":
-                P.par_ttt(g, None, sink, cfg)
-            else:
-                P.par_mce(g, P.degree_rank(g), sink, cfg)
+            cfg = P.ParallelConfig(threads=threads)
+            with donation_cutoff(8):
+                if engine == "ttt":
+                    P.ttt(g, None, sink)
+                elif engine == "parttt":
+                    P.par_ttt(g, None, sink, cfg)
+                else:
+                    P.par_mce(g, P.degree_rank(g), sink, cfg)
             sink.finalize()
             outputs.add(out.getvalue())
         assert len(outputs) == 1
@@ -160,10 +162,10 @@ class TestWriterSink:
 
 class TestCompositeSink:
     def test_one_pass_count_and_histogram(self):
-        count = P.CountingSink()
+        count = CountingSink()
         hist = P.HistogramSink()
         out = io.StringIO()
-        combo = P.CompositeSink([count, hist, P.WriterSink(out)])
+        combo = CompositeSink([count, hist, P.WriterSink(out)])
         P.ttt(P.gen_moon_moser(2), None, combo)
         combo.finalize()
         assert count.count == 9
@@ -172,10 +174,11 @@ class TestCompositeSink:
 
     def test_pool_run_matches_sequential_count(self):
         g = P.gen_gnp(60, 0.3, 4)
-        seq = P.CountingSink()
+        seq = CountingSink()
         P.ttt(g, None, seq)
-        par = P.CompositeSink([P.CountingSink(), P.HistogramSink()])
-        P.par_mce(g, P.degree_rank(g), par, P.ParallelConfig(threads=2, cutoff=8))
+        par = CompositeSink([CountingSink(), P.HistogramSink()])
+        with donation_cutoff(8):
+            P.par_mce(g, P.degree_rank(g), par, P.ParallelConfig(threads=2))
         assert par.sinks[0].count == seq.count
         assert sum(par.sinks[1].histogram.values()) == seq.count
 

@@ -8,11 +8,15 @@ shared bug can't hide on both sides of a comparison.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import chain, combinations
 from typing import Callable, Iterator
+from unittest import mock
 
 import parmce as P
+import parmce.engines as engines
+from parmce.engines import Subproblem, unrolled_children
+from parmce.pivoting import select_pivot
 
 
 class CollectSink(P.CliqueSink):
@@ -54,30 +58,38 @@ def no_leftovers() -> Iterator[None]:
     assert len(os.listdir("/proc/self/fd")) == fds, "an fd opened in the block is still open"
 
 
+def donation_cutoff(cutoff: int):
+    """Patch the engines' donation cutoff (`engines._CUTOFF`) for a block,
+    so that small graphs donate nodes too."""
+    return mock.patch.object(engines, "_CUTOFF", cutoff)
+
+
 def run_engine(
     engine: str,
     g: P.Graph,
     threads: int = 1,
-    cutoff: int = 16,
+    cutoff: int | None = None,
     order: str = "degree",
 ) -> list[tuple[int, ...]]:
-    """Run an engine by name; return raw emissions (dupes preserved)."""
+    """Run an engine by name, at a patched donation cutoff if one is given;
+    return raw emissions (dupes preserved)."""
     sink = CollectSink()
-    cfg = P.ParallelConfig(threads=threads, cutoff=cutoff)
-    if engine == "ttt":
-        P.ttt(g, None, sink)
-    elif engine == "parttt":
-        P.par_ttt(g, None, sink, cfg)
-    elif engine == "parmce":
-        P.par_mce(g, P.compute_rank(g, order), sink, cfg)
-    else:
-        raise ValueError(engine)
+    cfg = P.ParallelConfig(threads=threads)
+    with nullcontext() if cutoff is None else donation_cutoff(cutoff):
+        if engine == "ttt":
+            P.ttt(g, None, sink)
+        elif engine == "parttt":
+            P.par_ttt(g, None, sink, cfg)
+        elif engine == "parmce":
+            P.par_mce(g, P.compute_rank(g, order), sink, cfg)
+        else:
+            raise ValueError(engine)
     return sink.cliques
 
 
-def whole_graph_subproblem(g: P.Graph) -> P.Subproblem:
+def whole_graph_subproblem(g: P.Graph) -> Subproblem:
     """The whole graph as an explicit subproblem: K and fini empty, cand every vertex."""
-    return P.Subproblem(frozenset(), frozenset(range(g.n)), frozenset())
+    return Subproblem(frozenset(), frozenset(range(g.n)), frozenset())
 
 
 def canonical_run(engine: str, g: P.Graph, **kw) -> P.canonical_family:
@@ -114,8 +126,9 @@ def peel_core_numbers(g: P.Graph) -> tuple[int, ...]:
 def reference_load_edge_list(stream) -> P.Graph:
     """The three-pass edge-list loader that preceded the one-pass one.
 
-    Kept verbatim (lines -> edge tuples -> Graph.from_edges) as the
-    reference for the loader's differential test.
+    Kept (lines -> edge tuples -> Graph.from_edges) as the reference for
+    the loader's differential test; like the loader, it takes a label only
+    in ASCII digits.
     """
     id_map: dict[int, int] = {}
     labels: list[int] = []
@@ -143,12 +156,12 @@ def reference_load_edge_list(stream) -> P.Graph:
             raise P.EdgeListParseError(
                 line_no, f"expected two labels, got {len(parts)}: {line!r}"
             )
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise P.EdgeListParseError(line_no, f"non-integer label in {line!r}") from exc
-        if a < 0 or b < 0:
-            raise P.EdgeListParseError(line_no, f"negative label in {line!r}")
+        for label in parts:
+            if not (label.isascii() and label.isdigit()):
+                signed = any(p.startswith("-") for p in parts)
+                kind = "negative" if signed else "non-integer"
+                raise P.EdgeListParseError(line_no, f"{kind} label in {line!r}")
+        a, b = int(parts[0]), int(parts[1])
         edges.append((dense(a), dense(b)))
 
     return P.Graph.from_edges(len(labels), edges, labels)
@@ -199,7 +212,7 @@ def incremental_children(g, K, cand, fini):
     recomputed from the call arguments.
     """
     adj = g.adj_sets
-    pivot = P.select_pivot(g, cand, fini)
+    pivot = select_pivot(g, cand, fini)
     ext = sorted(cand - adj[pivot])
     cand = set(cand)
     fini = set(fini)
@@ -220,7 +233,7 @@ def walk_lockstep(g, K=(), cand=None, fini=frozenset(), validate=False):
         cand = frozenset(range(g.n))
     if not cand and not fini:
         return 1
-    unrolled = P.unrolled_children(g, K, set(cand), set(fini))
+    unrolled = unrolled_children(g, K, set(cand), set(fini))
     stepped = incremental_children(g, K, cand, fini)
     assert [c[0] for c in unrolled] == [c[0] for c in stepped]
     for (ka, ca, fa), (_, cb, fb) in zip(unrolled, stepped):
@@ -229,7 +242,7 @@ def walk_lockstep(g, K=(), cand=None, fini=frozenset(), validate=False):
     nodes = 1
     for kq, cq, fq in unrolled:
         if validate:
-            P.Subproblem(frozenset(kq), frozenset(cq), frozenset(fq)).validate(g)
+            Subproblem(frozenset(kq), frozenset(cq), frozenset(fq)).validate(g)
         nodes += walk_lockstep(g, kq, cq, fq, validate=validate)
     return nodes
 
