@@ -3,7 +3,9 @@
 The report splits total time TT into RT (vertex ranking) and ET (parallel
 enumeration). RT is zero for the engines that never rank; for the
 decomposed engine it is measured even when the metric is a trivial degree
-read-off, so the three-column timing shape is always reproducible.
+read-off, so the three-column timing shape is always reproducible. The
+kv and JSON reports carry the same fields, the size histogram included,
+in both modes. Runs are `parmce run ...`; bare flags are a usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import IO
 
-from .engines import par_mce, par_ttt, ttt
+from .engines import par_mce, par_ttt
 from .graph import EdgeListParseError, Graph, read_edge_list, write_edge_list
 from .oracle import gen_complete, gen_gnp, gen_moon_moser
 from .parallel import ParallelConfig
@@ -24,7 +26,7 @@ from .ranking import ORDERINGS, compute_rank
 from .sinks import EnumerationReport, HistogramSink, WriterSink
 
 ALGOS = ("ttt", "parttt", "parmce")
-MODES = ("count", "histogram", "list")
+MODES = ("count", "list")
 
 
 @dataclass
@@ -57,7 +59,9 @@ class RunConfig:
         if self.sweep and self.algo == "ttt":
             raise ValueError("--sweep needs a parallel algorithm (parttt or parmce)")
         if self.sweep and self.mode != "count":
-            raise ValueError("--sweep reports counts only; it takes no --mode list/histogram")
+            raise ValueError("--sweep reports counts only; it takes no --mode list")
+        if self.sweep and self.threads != 1:
+            raise ValueError("--sweep sets the thread counts; it takes no --threads")
         if (self.input is None) == (self.gen is None):
             raise ValueError("exactly one of --input / --gen is required")
 
@@ -94,17 +98,16 @@ def run_on_graph(
     g: Graph, cfg: RunConfig, clique_out: IO[str] | None = None
 ) -> EnumerationReport:
     """Rank (if needed), enumerate, and assemble the timing report."""
-    sink: HistogramSink
-    if cfg.mode == "list":
-        if clique_out is None:
-            raise ValueError("list mode needs an output stream")
+    if cfg.mode != "list":
+        sink = HistogramSink()
+    elif clique_out is None:
+        raise ValueError("list mode needs an output stream")
+    else:
         sink = WriterSink(
             clique_out,
             canonical=cfg.canonical,
             labels=g.labels if cfg.original_labels else range(g.n),
         )
-    else:
-        sink = HistogramSink()
     pconf = ParallelConfig(threads=cfg.threads)
 
     t_total = time.perf_counter()
@@ -116,9 +119,7 @@ def run_on_graph(
         rt = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    if cfg.algo == "ttt":
-        ttt(g, None, sink)
-    elif cfg.algo == "parttt":
+    if cfg.algo != "parmce":  # ttt is par_ttt at one thread, which RunConfig holds it to
         par_ttt(g, None, sink, pconf)
     else:
         assert rank is not None
@@ -132,12 +133,10 @@ def run_on_graph(
 
 def run(cfg: RunConfig) -> EnumerationReport:
     g = load_graph(cfg)
-    if cfg.mode == "list":
-        if cfg.output is not None:
-            with open(cfg.output, "w") as out:
-                return run_on_graph(g, cfg, clique_out=out)
-        return run_on_graph(g, cfg, clique_out=sys.stdout)
-    return run_on_graph(g, cfg)
+    if cfg.mode != "list":
+        return run_on_graph(g, cfg)
+    with open(cfg.output, "w") if cfg.output else nullcontext(sys.stdout) as out:
+        return run_on_graph(g, cfg, clique_out=out)
 
 
 @dataclass
@@ -160,7 +159,7 @@ def scaling_sweep(cfg: RunConfig) -> list[SweepRow]:
 
     rows = []
     for t in cfg.sweep:
-        rep = run_on_graph(g, replace(cfg, threads=t))
+        rep = run_on_graph(g, replace(cfg, threads=t, sweep=None))
         if rep.clique_count != base.clique_count:
             raise RuntimeError(
                 f"count mismatch at {t} threads: "
@@ -281,11 +280,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     with open(report_json, "w") if report_json else nullcontext() as json_out:
         report = run(cfg)
-        report_stream = sys.stdout
-        if cfg.mode == "list" and cfg.output is None:
-            report_stream = sys.stderr  # keep the clique listing clean on stdout
-        print(report.as_kv_text(include_histogram=cfg.mode == "histogram"),
-              file=report_stream)
+        listing_on_stdout = cfg.mode == "list" and cfg.output is None
+        # keep a clique listing on stdout clean
+        print(report.as_kv_text(), file=sys.stderr if listing_on_stdout else sys.stdout)
         if json_out:
             json_out.write(report.as_json() + "\n")
     return 0
@@ -293,19 +290,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     g = parse_generator_spec(args.gen)
-    if args.output:
-        with open(args.output, "w") as out:
-            write_edge_list(g, out)
-    else:
-        write_edge_list(g, sys.stdout)
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+        write_edge_list(g, out)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # bare flag usage defaults to the run subcommand
-    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-        argv.insert(0, "run")
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gen":

@@ -191,16 +191,17 @@ def run_task_pool(
         try:
             _flush_stdio()
             for _ in range(config.threads):
-                fds.update(tasks := os.pipe())
-                fds.update(results := os.pipe())
+                fds.update(task_pipe := os.pipe())
+                fds.update(result_pipe := os.pipe())
                 if (pid := os.fork()) == 0:
-                    _worker(fds, tasks[0], results[1], handler, sink, shm, 2 * config.threads)
-                workers[results[0]] = (pid, tasks[1])
-                for fd in (tasks[0], results[1]):
+                    _worker(fds, task_pipe[0], result_pipe[1], handler, sink, shm,
+                            2 * config.threads)
+                workers[result_pipe[0]] = (pid, task_pipe[1])
+                for fd in (task_pipe[0], result_pipe[1]):
                     os.close(fd)
                     fds.remove(fd)
-                poller.register(results[0], select.POLLIN)
-                idle.append(results[0])
+                poller.register(result_pipe[0], select.POLLIN)
+                idle.append(result_pipe[0])
                 deal()
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)

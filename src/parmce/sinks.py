@@ -9,7 +9,8 @@ emit(), which gets ascending tuples, or encode() and take() as a pair,
 where encode() gets the tuples unsorted. HistogramSink ships each
 chunk's size counts instead, unless a subclass overrides emit(), and
 WriterSink its formatted lines, so the driver only merges or writes
-them. Every clique reaches a sink exactly once; no sink locks.
+them; WriterSink.emit() is take(encode()) of one clique. Every clique
+reaches a sink exactly once; no sink locks.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ class WriterSink(HistogramSink):
     `range(n)` for dense ids); None writes `str(v)`. A line sorts the
     dense ids before naming them. canonical=True buffers everything and
     writes the cliques sorted by their ascending dense-id tuples (stable
-    golden files across thread budgets and engines). The engines have
-    each chunk's lines formatted (encode, in the worker on the pool) and
-    written as one block (take); canonical chunks travel as sorted tuples.
+    golden files across thread budgets and engines). Each chunk's lines
+    are formatted (encode, in the worker on the pool) and written as one
+    block (take); canonical chunks travel as sorted tuples. emit() is a
+    chunk of one clique, so every clique takes that path.
     The first write error (a full disk, a reader that closed the pipe)
     raises from the emit, take or finalize that hit it, so the enumeration
     stops at once instead of running on into a dead stream.
@@ -112,11 +114,7 @@ class WriterSink(HistogramSink):
         return " ".join(map(self._name, sorted(clique))) + "\n"
 
     def emit(self, clique: tuple[int, ...]) -> None:
-        super().emit(clique)
-        if self.canonical:
-            self._buffer.append(tuple(sorted(clique)))
-        else:
-            self.out.write(self._line(clique))
+        self.take(self.encode([clique]))
 
     def encode(self, cliques: list[tuple[int, ...]]) -> Any:
         body = super().encode(cliques) if self.canonical else "".join(map(self._line, cliques))
@@ -179,21 +177,17 @@ class EnumerationReport:
             tt_seconds=tt,
         )
 
-    def as_kv_text(self, include_histogram: bool = False) -> str:
-        lines = [
+    def as_kv_text(self) -> str:
+        """One key=value line per field, the histogram last as hist[size]=count."""
+        return "\n".join([
             f"clique_count={self.clique_count}",
             f"max_clique_size={self.max_clique_size}",
             f"avg_clique_size={self.avg_clique_size:.6g}",
             f"rt_seconds={self.rt_seconds:.6f}",
             f"et_seconds={self.et_seconds:.6f}",
             f"tt_seconds={self.tt_seconds:.6f}",
-        ]
-        if include_histogram:
-            lines.extend(
-                f"hist[{size}]={count}"
-                for size, count in sorted(self.size_histogram.items())
-            )
-        return "\n".join(lines)
+            *(f"hist[{size}]={count}" for size, count in sorted(self.size_histogram.items())),
+        ])
 
     def as_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

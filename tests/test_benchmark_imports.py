@@ -11,18 +11,30 @@ ROOT = Path(__file__).resolve().parent.parent
 # Past the imports: layers.py swaps three module attributes for traced
 # wrappers, ops.py imports run_on_graph only when it runs, the probes read
 # attributes off graphs, ranks and sinks, and ops.py and layers.py build
-# their configs with these keywords.
+# their configs with these keywords. The command line that times
+# time_to_result_s must parse into a config for every workload, and so
+# must engine_op's config for every engine.
 CHECK = """
 import layers, ops, run
 import parmce.cli as cli, parmce.engines as engines
+from pathlib import Path
 from parmce.graph import Graph
 from parmce.parallel import ParallelConfig
 from parmce.ranking import RankAssignment
 from parmce.sinks import HistogramSink
+from workloads import WORKLOADS
 cli.compute_rank, cli.par_mce, engines.run_task_pool, cli.run_on_graph
 Graph.adj_lists, RankAssignment.key, HistogramSink.count
 cli.RunConfig(input="g.txt", algo="parmce", order="degree", threads=2, mode="list")
 ParallelConfig(threads=2), ParallelConfig(1)
+for wl in WORKLOADS.values():
+    for algo in ("ttt", "parttt", "parmce"):
+        cli.RunConfig(input="g.txt", algo=algo, order=wl.order if algo == "parmce" else None,
+                      threads=1 if algo == "ttt" else 2, mode=wl.mode)
+    cmd = ops.cli_command(Path("g.txt"), wl, 2, Path("r.json"), Path("l.txt"))
+    assert cmd[1:3] == ["-m", "parmce.cli"], cmd
+    cfg, report = cli._config_from_args(cli.build_parser().parse_args(cmd[3:]))
+    assert (cfg.mode, cfg.threads, report) == (wl.mode, 2, "r.json"), (wl.name, cfg)
 """
 
 

@@ -55,15 +55,17 @@ class TestRunConfig:
             RunConfig(gen="complete:4", algo="bk")
         with pytest.raises(ValueError):
             RunConfig(gen="complete:4", mode="plot")
+        with pytest.raises(ValueError, match="unknown mode 'histogram'"):
+            RunConfig(gen="complete:4", mode="histogram")  # every report has the histogram
 
     @pytest.mark.parametrize("flag", ["canonical", "original_labels"])
-    @pytest.mark.parametrize("mode", ["count", "histogram"])
+    @pytest.mark.parametrize("mode", ["count"])
     def test_list_only_flags_need_list_mode(self, flag, mode):
         with pytest.raises(ValueError, match="--mode list"):
             RunConfig(gen="complete:4", mode=mode, **{flag: True})
         assert getattr(RunConfig(gen="complete:4", mode="list", **{flag: True}), flag)
 
-    @pytest.mark.parametrize("mode", ["histogram", "list"])
+    @pytest.mark.parametrize("mode", ["list"])
     def test_sweep_needs_count_mode(self, mode):
         with pytest.raises(ValueError, match="--sweep"):
             RunConfig(gen="complete:4", mode=mode, sweep=[1, 2])
@@ -97,7 +99,7 @@ class TestRun:
         assert rep.size_histogram == {5: 243}
 
     def test_ttt_on_k10(self):
-        rep = run(RunConfig(gen="complete:10", algo="ttt", mode="histogram"))
+        rep = run(RunConfig(gen="complete:10", algo="ttt"))
         assert rep.clique_count == 1
         assert rep.size_histogram == {10: 1}
 
@@ -256,15 +258,38 @@ class TestMainEntry:
         assert "clique_count=27" in out
         assert "tt_seconds=" in out
 
-    def test_bare_flags_default_to_run(self, capsys):
-        assert main(["--gen", "complete:6", "--algo", "ttt"]) == 0
-        assert "clique_count=1" in capsys.readouterr().out
+    def test_bare_flags_are_a_usage_error(self, capsys):
+        # a run is asked for one way: `parmce run ...`
+        with pytest.raises(SystemExit) as exc:
+            main(["--gen", "complete:4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
-    def test_histogram_mode_prints_histogram(self, capsys):
+    def test_histogram_mode_is_a_usage_error(self, capsys):
+        # every report carries the histogram, so no mode asks for it
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gen", "complete:4", "--mode", "histogram"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'histogram'" in capsys.readouterr().err
+
+    def test_count_mode_prints_histogram(self, capsys):
         assert main(["run", "--gen", "moonmoser:2", "--algo", "parmce",
-                     "--order", "triangle", "--mode", "histogram"]) == 0
+                     "--order", "triangle"]) == 0
         out = capsys.readouterr().out
         assert "hist[2]=9" in out
+
+    def test_list_mode_kv_histogram_matches_the_json_report(self, tmp_path, capsys):
+        # count mode: TestPinnedListings; here the listing on stdout moves the
+        # kv report to stderr
+        path = tmp_path / "rep.json"
+        assert main(["run", "--gen", "gnp:40,0.15,2", "--algo", "parttt", "--threads", "2",
+                     "--mode", "list", "--report-json", str(path)]) == 0
+        kv = dict(ln.split("=", 1) for ln in capsys.readouterr().err.splitlines())
+        hist = {k[len("hist["):-1]: int(v) for k, v in kv.items() if k.startswith("hist[")}
+        assert len(hist) > 1
+        rep = json.loads(path.read_text())
+        assert rep["size_histogram"] == hist
+        assert rep["clique_count"] == int(kv["clique_count"]) == sum(hist.values())
 
     def test_gen_subcommand_round_trips(self, tmp_path, capsys):
         path = tmp_path / "mm.txt"
@@ -293,7 +318,7 @@ class TestMainEntry:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--canonical", "--original-labels"])
-    @pytest.mark.parametrize("mode", [[], ["--mode", "count"], ["--mode", "histogram"]])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "count"]])
     def test_list_only_flag_outside_list_mode_is_usage_error(self, flag, mode, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--gen", "complete:4", "--algo", "ttt", *mode, flag])
@@ -310,7 +335,7 @@ class TestMainEntry:
     def test_ttt_with_threads_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--gen", "gnp:30,0.3,1", "--algo", "ttt", "--threads", "4",
-                  "--mode", "histogram"])
+                  "--mode", "count"])
         assert exc.value.code == 2
         assert "ttt runs on one thread" in capsys.readouterr().err
 
@@ -350,7 +375,7 @@ class TestMainEntry:
     )
     def test_bad_output_path_fails_before_any_engine_runs(self, args, capsys, monkeypatch):
         ran = []
-        for name in ("ttt", "par_ttt", "par_mce"):
+        for name in ("par_ttt", "par_mce"):
             monkeypatch.setattr(parmce.cli, name, lambda *a, name=name: ran.append(name))
         assert main(["run", *args]) == 1
         captured = capsys.readouterr()
@@ -377,7 +402,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--mode", "list"], ["--mode", "histogram"], ["--report-json", "r.json"]],
+        # what a sweep would ignore: a listing, a thread count, a JSON report
+        [["--mode", "list"], ["--threads", "3"], ["--report-json", "r.json"]],
     )
     def test_sweep_with_ignored_output_is_usage_error(
         self, extra, tmp_path, capsys, monkeypatch
@@ -387,7 +413,7 @@ class TestMainEntry:
             main(["run", "--gen", "complete:4", "--algo", "parmce",
                   "--sweep", "1,2", "--output", "x.csv", *extra])
         assert exc.value.code == 2
-        assert "--sweep" in capsys.readouterr().err
+        assert "error: --sweep" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_of_sequential_algo_is_usage_error(self, tmp_path, capsys, monkeypatch):
@@ -522,16 +548,16 @@ class TestPinnedListings:
         assert out.count(b"\n") == 8149
         assert sha256(out).hexdigest() == (
             "7471adee91cadab3df29d0819a5b1e7b659596ced55c6616841c2ab8e687f49b")
-        ttt = counts(cli(tmp_path, "run --gen gnp:400,0.1,7 --algo ttt --mode histogram"))
+        ttt = counts(cli(tmp_path, "run --gen gnp:400,0.1,7 --algo ttt --mode count"))
         assert ttt[-1].startswith("hist[")
-        assert counts(cli(tmp_path, "run --input g.txt --algo ttt --mode histogram")) == ttt
+        assert counts(cli(tmp_path, "run --input g.txt --algo ttt --mode count")) == ttt
         for algo in ("parttt", "parmce"):
-            run = f"run --gen gnp:400,0.1,7 --algo {algo} --threads 2 --mode histogram"
+            run = f"run --gen gnp:400,0.1,7 --algo {algo} --threads 2 --mode count"
             assert counts(cli(tmp_path, run)) == ttt, algo
 
     def test_json_report_carries_the_kv_reports_count_and_histogram(self, tmp_path):
         out = cli(tmp_path, "run --gen gnp:400,0.1,7 --algo parmce --order degeneracy"
-                            " --threads 2 --mode histogram --report-json r.json")
+                            " --threads 2 --mode count --report-json r.json")
         kv = dict(line.split("=", 1) for line in out.decode().splitlines())
         hist = {k[len("hist["):-1]: int(v) for k, v in kv.items() if k.startswith("hist[")}
         assert hist, "the kv report has no hist lines"

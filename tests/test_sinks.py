@@ -253,7 +253,7 @@ class TestEnumerationReport:
         assert rep.tt_seconds == pytest.approx(rep.rt_seconds + rep.et_seconds)
 
     def test_kv_text(self):
-        text = self.make().as_kv_text(include_histogram=True)
+        text = self.make().as_kv_text()
         assert "clique_count=9" in text
         assert "max_clique_size=2" in text
         assert "rt_seconds=0.250000" in text
